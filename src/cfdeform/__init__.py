@@ -23,14 +23,9 @@ from .contfrac import (
     parse_rational,
 )
 from .exactnum import (
-    CoefficientDomain,
-    INTEGER_DOMAIN,
-    POLYNOMIAL_DOMAIN,
     RationalFunction,
     RingPoly,
     TruncatedSeries,
-    ratfun_normalize,
-    series_is_integral,
     series_of_ratfun,
 )
 from .udeform import (
@@ -53,7 +48,7 @@ from .udeform import (
     shift_by_integer,
     szero_cf_form,
 )
-from .qdeform import q_deform, q_deform_series, q_int
+from .qdeform import q_deform, q_deform_series, q_int, q_pair
 from .analysis import (
     CATALAN,
     FIBONACCI,
@@ -88,14 +83,9 @@ __all__ = [
     "j_rewrite",
     "parse_cf",
     "parse_rational",
-    "CoefficientDomain",
-    "INTEGER_DOMAIN",
-    "POLYNOMIAL_DOMAIN",
     "RationalFunction",
     "RingPoly",
     "TruncatedSeries",
-    "ratfun_normalize",
-    "series_is_integral",
     "series_of_ratfun",
     "U_CON",
     "U_NUM",
@@ -118,6 +108,7 @@ __all__ = [
     "q_deform",
     "q_deform_series",
     "q_int",
+    "q_pair",
     "CATALAN",
     "FIBONACCI",
     "GENERALIZED_CATALAN",

@@ -10,7 +10,7 @@ but never asserted).
 
 from __future__ import annotations
 
-import concurrent.futures
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
@@ -149,9 +149,8 @@ def bfs_oracle(u: UParams, max_ell: int) -> dict[Fraction, FPair]:
     """
     if max_ell < 1:
         return {}
-    dom = u.domain
     p, q, r, s = u.entries()
-    one = dom.coerce(1)
+    one = RingPoly.constant(1) if u.symbolic else 1
     table: dict[Fraction, FPair] = {Fraction(1): FPair(one, one)}
     level = [(Fraction(1), one, one)]
     for _ in range(max_ell - 1):
@@ -448,6 +447,9 @@ PROPERTY_NAMES = (
 # Empirical observations: reported, never asserted, exit code stays zero.
 OBSERVATION_PROPERTIES = frozenset({"unimodality", "anti-unimodality", "alternation"})
 
+# Properties of polynomial coefficients, meaningless for an integer matrix.
+_SYMBOLIC_PROPERTIES = OBSERVATION_PROPERTIES | {"integrality"}
+
 
 def _series_of_pair(u: UParams, x, order: int) -> TruncatedSeries:
     fp = f_pair(u, x)
@@ -455,17 +457,16 @@ def _series_of_pair(u: UParams, x, order: int) -> TruncatedSeries:
 
 
 def _px_defining_equations(u: UParams, x: Fraction, order: int) -> dict | None:
-    dom = u.domain
     p, q, r, s = u.entries()
     fx, finv = f_pair(u, x)
     up = f_pair(u, 1 + x)
-    if not dom.eq(up.fx, p * fx + q * finv):
+    if up.fx != p * fx + q * finv:
         return {"x": str(x), "relation": "step-up"}
     down = f_pair(u, x / (1 + x))
-    if not dom.eq(down.fx, r * fx + s * finv):
+    if down.fx != r * fx + s * finv:
         return {"x": str(x), "relation": "step-down"}
     two_up = f_pair(u, 2 + x)
-    if not dom.eq(two_up.fx, p * up.fx + q * r * finv + q * s * fx):
+    if two_up.fx != p * up.fx + q * r * finv + q * s * fx:
         return {"x": str(x), "relation": "double-step"}
     return None
 
@@ -537,23 +538,12 @@ _PER_X_CHECKS: dict[str, Callable[[UParams, Fraction, int], dict | None]] = {
 }
 
 
-def _u_to_text(u: UParams) -> str:
-    parts = []
-    for v in (u.p, u.q, u.r, u.s):
-        if isinstance(v, RingPoly):
-            parts.append("p" if v == RingPoly.variable() else str(v.constant_term))
-        else:
-            parts.append(str(v))
-    return ",".join(parts)
-
-
-def _chunk_worker(args: tuple) -> tuple[int, dict | None]:
-    name, u_text, xs_text, order = args
-    u = UParams.parse(u_text)
+def _chunk_worker(
+    name: str, u: UParams, xs: list[Fraction], order: int
+) -> tuple[int, dict | None]:
     check = _PER_X_CHECKS[name]
     count = 0
-    for text in xs_text:
-        x = Fraction(text)
+    for x in xs:
         violation = check(u, x, order)
         count += 1
         if violation is not None:
@@ -572,10 +562,9 @@ def sweep_oracle_equivalence(u: UParams, max_ell: int) -> PropertyReport:
             {"kind": "table-size", "size": len(table), "expected": expected_size},
             len(table),
         )
-    dom = u.domain
     for x, pair in table.items():
         direct = f_pair(u, x)
-        if not (dom.eq(direct.fx, pair.fx) and dom.eq(direct.finv, pair.finv)):
+        if direct != pair:
             return PropertyReport(
                 "oracle-equivalence", False, {"x": str(x)}, len(table)
             )
@@ -600,31 +589,31 @@ def run_property_sweep(
         return sweep_oracle_equivalence(u, max_ell)
     if name not in _PER_X_CHECKS:
         raise DomainError(f"unknown property {name!r}")
+    if name in _SYMBOLIC_PROPERTIES and not u.symbolic:
+        raise DomainError(f"the {name} sweep needs a symbolic matrix, e.g. p,1,1,0")
     xs = [x for x, _ in enumerate_rationals(max_ell)]
     if name == "stabilization":
         u = U_SZERO_POLY
     violation: dict | None = None
     tested = 0
-    if jobs <= 1:
-        check = _PER_X_CHECKS[name]
-        for x in xs:
-            result = check(u, x, order)
-            tested += 1
-            if result is not None:
-                violation = result
-                break
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers <= 1 or len(xs) < 2:
+        tested, violation = _chunk_worker(name, u, xs, order)
     else:
-        u_text = _u_to_text(u)
-        chunk_size = max(1, (len(xs) + jobs * 4 - 1) // (jobs * 4))
+        # Imported here: the pool drags in logging, which serial runs never need.
+        import concurrent.futures
+
+        chunk_size = -(-len(xs) // (workers * 4))
         chunks = [xs[i : i + chunk_size] for i in range(0, len(xs), chunk_size)]
-        payloads = [
-            (name, u_text, [str(x) for x in chunk], order) for chunk in chunks
-        ]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            for count, result in pool.map(_chunk_worker, payloads):
+        workers = min(workers, len(chunks))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(_chunk_worker, name, u, chunk, order) for chunk in chunks]
+            for future in futures:
+                count, violation = future.result()
                 tested += count
-                if result is not None:
-                    violation = result
+                if violation is not None:
+                    for queued in futures:
+                        queued.cancel()
                     break
     details = {"max_ell": max_ell, "u": str(u)}
     if name in ("integrality", "alternation"):

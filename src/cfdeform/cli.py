@@ -38,8 +38,8 @@ from .errors import (
     StabilizationError,
     TermsExhaustedError,
 )
-from .exactnum import RationalFunction, RingPoly, TruncatedSeries, series_of_ratfun
-from .qdeform import q_deform, q_deform_series
+from .exactnum import RationalFunction, RingPoly, TruncatedSeries, format_terms, series_of_ratfun
+from .qdeform import q_deform_series
 from .udeform import U_RZERO_POLY, U_SZERO_POLY, UParams, f_pair, j_quotient, quantize
 
 MAX_ORDER_ENV = "UDEFORM_MAX_ORDER"
@@ -80,60 +80,25 @@ def _series_json(s: TruncatedSeries) -> list[str]:
     return [str(c) for c in s]
 
 
-def _value_text(v) -> str:
-    return str(v)
-
-
-def _latex_poly(v, var: str) -> str:
-    coeffs = v.coeffs if isinstance(v, RingPoly) else (int(v),)
-    if not coeffs:
-        return "0"
-    parts = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if c == 0:
-            continue
-        sign = "-" if c < 0 else ("+" if parts else "")
-        mag = abs(c)
-        if i == 0:
-            body = str(mag)
-        else:
-            head = "" if mag == 1 else str(mag)
-            power = var if i == 1 else f"{var}^{{{i}}}"
-            body = f"{head}{power}"
-        parts.append(sign + body)
-    return "".join(parts) if parts else "0"
-
-
 def _latex_value(v, var: str) -> str:
+    if isinstance(v, RingPoly):
+        return format_terms(v.coeffs, var, latex=True, descending=True)
     if isinstance(v, RationalFunction):
+        num = _latex_value(v.num, var)
         if v.is_polynomial():
-            return _latex_poly(v.num, var)
-        return rf"\frac{{{_latex_poly(v.num, var)}}}{{{_latex_poly(v.den, var)}}}"
+            return num
+        return rf"\frac{{{num}}}{{{_latex_value(v.den, var)}}}"
     frac = Fraction(v)
     if frac.denominator == 1:
         return str(frac.numerator)
     return rf"\frac{{{frac.numerator}}}{{{frac.denominator}}}"
 
 
-def _latex_series(s: TruncatedSeries, var: str) -> str:
-    parts = []
-    for i, c in enumerate(s):
-        if c == 0:
-            continue
-        frac = Fraction(c)
-        sign = "-" if frac < 0 else ("+" if parts else "")
-        mag = abs(frac)
-        mag_str = str(mag.numerator) if mag.denominator == 1 else rf"\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-        if i == 0:
-            body = mag_str
-        else:
-            head = "" if mag == 1 else mag_str
-            power = var if i == 1 else f"{var}^{{{i}}}"
-            body = f"{head}{power}"
-        parts.append(sign + body)
-    rendered = "".join(parts) if parts else "0"
-    return rf"{rendered}+O\left({var}^{{{s.order + 1}}}\right)"
+def _series_text(s: TruncatedSeries, var: str, latex: bool = False) -> str:
+    terms = format_terms(s.coeffs, var, latex=latex)
+    if latex:
+        return rf"{terms}+O\left({var}^{{{s.order + 1}}}\right)"
+    return f"{terms} + O({var}^{s.order + 1})"
 
 
 def _latex_cf(terms) -> str:
@@ -163,10 +128,15 @@ def _print_document(command: str, inputs: dict, result: dict, fmt: str, text_lin
 
 def _max_order() -> int:
     raw = os.environ.get(MAX_ORDER_ENV, "")
-    try:
-        return int(raw) if raw else DEFAULT_MAX_ORDER
-    except ValueError:
+    if not raw:
         return DEFAULT_MAX_ORDER
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = -1
+    if cap < 0:
+        raise DomainError(f"{MAX_ORDER_ENV} must be a nonnegative integer, got {raw!r}")
+    return cap
 
 
 def _check_order(order: int) -> int:
@@ -197,13 +167,13 @@ def _cmd_eval(args) -> int:
 
     def text():
         yield f"U = {u}, x = {x} = {format_cf(cf_expand(x))}"
-        yield f"f(x)   = {_value_text(pair.fx)}"
-        yield f"f(1/x) = {_value_text(pair.finv)}"
-        yield f"[[x]]  = {_value_text(value)}"
+        yield f"f(x)   = {pair.fx}"
+        yield f"f(1/x) = {pair.finv}"
+        yield f"[[x]]  = {value}"
 
     def latex():
-        yield rf"f(x) = {_latex_poly(pair.fx, var) if isinstance(pair.fx, RingPoly) else pair.fx}"
-        yield rf"f(1/x) = {_latex_poly(pair.finv, var) if isinstance(pair.finv, RingPoly) else pair.finv}"
+        yield rf"f(x) = {_latex_value(pair.fx, var)}"
+        yield rf"f(1/x) = {_latex_value(pair.finv, var)}"
         yield rf"\llbracket x \rrbracket = {_latex_value(value, var)}"
 
     _print_document("eval", inputs, result, args.format, text, latex)
@@ -250,7 +220,7 @@ def _cmd_series(args) -> int:
         yield str(series)
 
     def latex():
-        yield _latex_series(series, "p")
+        yield _series_text(series, "p", latex=True)
 
     _print_document("series", inputs, result, args.format, text, latex)
     return EXIT_OK
@@ -270,10 +240,10 @@ def _cmd_qseries(args) -> int:
 
     def text():
         yield f"x = {subject}, order = {order}"
-        yield series.render("q")
+        yield _series_text(series, "q")
 
     def latex():
-        yield _latex_series(series, "q")
+        yield _series_text(series, "q", latex=True)
 
     _print_document("qseries", inputs, result, args.format, text, latex)
     return EXIT_OK
@@ -298,8 +268,8 @@ def _cmd_compare(args) -> int:
             yield f"{i:>4}  {str(u_series[i]):>24}  {str(q_series[i]):>24}"
 
     def latex():
-        yield _latex_series(u_series, "p")
-        yield _latex_series(q_series, "q")
+        yield _series_text(u_series, "p", latex=True)
+        yield _series_text(q_series, "q", latex=True)
 
     _print_document("compare", inputs, result, args.format, text, latex)
     return EXIT_OK
@@ -326,8 +296,6 @@ def _cmd_check(args) -> int:
     u_text = args.u if args.u is not None else _DEFAULT_CHECK_U[name]
     u = UParams.parse(u_text)
     order = _check_order(args.order)
-    if name == "integrality" and not u.symbolic:
-        raise DomainError("integrality sweep needs a symbolic family, e.g. --u p,1,1,0")
     report = run_property_sweep(name, u, args.max_ell, order, jobs=args.jobs)
     inputs = {"property": name, "u": u_text, "max_ell": args.max_ell, "order": order}
     result = report.as_dict()
@@ -442,7 +410,8 @@ def _build_parser() -> _Parser:
     p_chk.add_argument("--max-ell", type=int, default=10, dest="max_ell",
                        help="sweep every rational with term sum at most this")
     p_chk.add_argument("--order", type=int, default=20, help="series order where relevant")
-    p_chk.add_argument("--jobs", type=int, default=1, help="worker processes for the sweep")
+    p_chk.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for the sweep, capped at the CPU count")
     add_format(p_chk)
     p_chk.set_defaults(func=_cmd_check)
 

@@ -10,10 +10,8 @@ dense representation wins on simplicity.
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 
 def _trim(coeffs: list[int]) -> tuple[int, ...]:
@@ -151,30 +149,42 @@ class RingPoly:
         return bool(self.coeffs)
 
     def __str__(self):
-        return format_poly(self.coeffs)
+        return format_terms(self.coeffs, "p", descending=True)
 
     def __repr__(self):
         return f"RingPoly({list(self.coeffs)!r})"
 
 
-def format_poly(coeffs: Sequence[int], var: str = "p") -> str:
-    """Render ascending coefficients in descending-power display order."""
-    if not coeffs:
-        return "0"
+def format_terms(
+    coeffs: Sequence, var: str, *, latex: bool = False, descending: bool = False
+) -> str:
+    """Render ascending coefficients (ints or Fractions) as a sum of terms.
+
+    Text style spaces the signs ("2p^2 - p + 1"); LaTeX style packs them and
+    braces exponents and fractions ("2p^{2}-p+1").  Zero renders as "0".
+    """
+    indices = range(len(coeffs) - 1, -1, -1) if descending else range(len(coeffs))
     parts: list[str] = []
-    for i in range(len(coeffs) - 1, -1, -1):
+    for i in indices:
         c = coeffs[i]
         if c == 0:
             continue
         sign = "-" if c < 0 else ("+" if parts else "")
         mag = abs(c)
-        if i == 0:
-            body = str(mag)
+        if latex and isinstance(mag, Fraction) and mag.denominator != 1:
+            mag_str = rf"\frac{{{mag.numerator}}}{{{mag.denominator}}}"
         else:
-            head = "" if mag == 1 else str(mag)
-            body = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
-        parts.append(f"{sign}{body}" if not parts else f"{sign} {body}")
-    return " ".join(parts) if parts else "0"
+            mag_str = str(mag)
+        if i == 0:
+            body = mag_str
+        else:
+            head = "" if mag == 1 else mag_str
+            power = var if i == 1 else (f"{var}^{{{i}}}" if latex else f"{var}^{i}")
+            body = head + power
+        parts.append(sign + body if latex or not parts else f"{sign} {body}")
+    if not parts:
+        return "0"
+    return "".join(parts) if latex else " ".join(parts)
 
 
 def poly_content(a: RingPoly) -> int:
@@ -385,11 +395,6 @@ class RationalFunction:
         return f"RationalFunction({list(self.num.coeffs)!r}, {list(self.den.coeffs)!r})"
 
 
-def ratfun_normalize(num: RingPoly, den: RingPoly) -> RationalFunction:
-    """Reduce a num/den pair to normal form (thin constructor alias)."""
-    return RationalFunction(num, den)
-
-
 class TruncatedSeries:
     """Taylor expansion at the origin, truncated at a fixed order.
 
@@ -467,24 +472,8 @@ class TruncatedSeries:
                 return False, i
         return True, None
 
-    def render(self, var: str = "p") -> str:
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else ("+" if parts else "")
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                head = "" if mag == 1 else f"{mag}"
-                body = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
-            parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
-        rendered = " ".join(parts) if parts else "0"
-        return f"{rendered} + O({var}^{self.order + 1})"
-
     def __str__(self):
-        return self.render()
+        return f"{format_terms(self.coeffs, 'p')} + O(p^{self.order + 1})"
 
     def __repr__(self):
         return f"TruncatedSeries({list(self.coeffs)!r})"
@@ -524,46 +513,3 @@ def series_of_ratfun(f, order: int) -> TruncatedSeries:
             acc -= dcs[j] * out[n - j]
         out.append(acc / d0)
     return TruncatedSeries(out)
-
-
-def series_is_integral(s: TruncatedSeries) -> tuple[bool, int | None]:
-    return s.is_integral()
-
-
-@dataclass(frozen=True)
-class CoefficientDomain:
-    """A commutative coefficient ring presented as explicit operations.
-
-    The same deformation recursions run over plain integers and over
-    RingPoly entries; this descriptor pins down zero, one and coercion so
-    generic code (and the ring-axiom tests) can treat both uniformly.
-    """
-
-    name: str
-    zero: object
-    one: object
-    coerce: Callable
-    add: Callable = field(default=operator.add)
-    mul: Callable = field(default=operator.mul)
-    neg: Callable = field(default=operator.neg)
-    eq: Callable = field(default=operator.eq)
-
-
-def _coerce_int(v):
-    if not isinstance(v, int):
-        raise TypeError("integer domain holds ints only")
-    return v
-
-
-def _coerce_poly(v):
-    if isinstance(v, RingPoly):
-        return v
-    if isinstance(v, int):
-        return RingPoly((v,))
-    raise TypeError("polynomial domain holds RingPoly or int constants")
-
-
-INTEGER_DOMAIN = CoefficientDomain("integers", 0, 1, _coerce_int)
-POLYNOMIAL_DOMAIN = CoefficientDomain(
-    "integer polynomials", RingPoly(), RingPoly((1,)), _coerce_poly
-)

@@ -8,20 +8,18 @@ with [a]_q = 1 + q + ... + q^(a-1) at odd positions and the q -> 1/q
 flavour [a]_q' = q^(1-a) [a]_q at even positions.  Odd-length expansions
 are first rewritten via [..., n] = [..., n-1, 1], which leaves the value
 unchanged; a leading 0 term (values below one) enters the tower as the zero
-bracket.  All arithmetic is exact over rational functions in q; the
-inverse-flavour levels are cleared to polynomial quotients immediately.
+bracket.  The tower is evaluated as a product of 2x2 polynomial matrices
+acting on a (numerator, denominator) pair, which comes out already in
+lowest terms.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from typing import Sequence
 
 from .contfrac import CFExpansion, StreamingCF, cf_expand
 from .errors import StabilizationError, TermsExhaustedError
 from .exactnum import RationalFunction, RingPoly, TruncatedSeries, series_of_ratfun
 
-__all__ = ["q_int", "q_deform", "q_deform_series", "even_length_terms"]
+__all__ = ["q_int", "q_pair", "q_deform", "q_deform_series", "even_length_terms"]
 
 
 def q_int(a: int, inverse: bool = False) -> RationalFunction:
@@ -45,10 +43,34 @@ def even_length_terms(cf) -> tuple[int, ...]:
     return terms
 
 
-def _q_power(exponent: int) -> RationalFunction:
-    if exponent >= 0:
-        return RationalFunction(RingPoly.monomial(exponent))
-    return RationalFunction(1, RingPoly.monomial(-exponent))
+def q_pair(cf) -> tuple[RingPoly, RingPoly]:
+    """Numerator and denominator of the q-deformation, already reduced.
+
+    Runs the tower from the innermost level as a pair recursion,
+
+        start:      (num, den) = ([a]_q, q^(a-1))            for the last term a
+        even index: (num, den) <- ([a]_q num + q^a den, num)
+        odd index:  (num, den) <- (q [a]_q num + den, q^a num)
+
+    with no gcd anywhere.  Each level is a matrix of determinant -q^a, every
+    coefficient stays nonnegative and the outermost level leaves a
+    denominator with constant term 1, so the pair is the normal form that
+    RationalFunction would produce.
+    """
+    if isinstance(cf, (list, tuple)):
+        cf = CFExpansion(tuple(cf))
+    elif not isinstance(cf, CFExpansion):
+        cf = cf_expand(cf)
+    terms = even_length_terms(cf)
+    last = terms[-1]
+    num, den = RingPoly((1,) * last), RingPoly.monomial(last - 1)
+    for i in range(len(terms) - 2, -1, -1):
+        a = terms[i]
+        if i % 2 == 0:
+            num, den = RingPoly((1,) * a) * num + RingPoly.monomial(a) * den, num
+        else:
+            num, den = RingPoly((0,) + (1,) * a) * num + den, RingPoly.monomial(a) * num
+    return num, den
 
 
 def q_deform(cf) -> RationalFunction:
@@ -56,16 +78,7 @@ def q_deform(cf) -> RationalFunction:
 
     Evaluating the result at q = 1 returns the undeformed value.
     """
-    if isinstance(cf, (CFExpansion, list, tuple)):
-        terms = even_length_terms(cf)
-    else:
-        terms = even_length_terms(cf_expand(cf))
-    value = q_int(terms[-1], inverse=True)
-    for i in range(len(terms) - 2, -1, -1):
-        inverse = i % 2 == 1
-        sign = -1 if inverse else 1
-        value = q_int(terms[i], inverse) + _q_power(sign * terms[i]) / value
-    return value
+    return RationalFunction(*q_pair(cf))
 
 
 def _stream_series(src: StreamingCF, order: int) -> TruncatedSeries:
@@ -87,9 +100,9 @@ def _stream_series(src: StreamingCF, order: int) -> TruncatedSeries:
         pull()
     pull()
     budget = 8 * (order + 2)
-    prev = series_of_ratfun(q_deform(terms[:-1]), order)
+    prev = series_of_ratfun(q_pair(terms[:-1]), order)
     while True:
-        cur = series_of_ratfun(q_deform(terms), order)
+        cur = series_of_ratfun(q_pair(terms), order)
         if cur == prev:
             return cur
         if sum(terms) > budget:
@@ -113,6 +126,4 @@ def q_deform_series(source, order: int) -> TruncatedSeries:
         raise ValueError("order must be nonnegative")
     if isinstance(source, StreamingCF):
         return _stream_series(source, order)
-    if isinstance(source, (CFExpansion, list, tuple)):
-        return series_of_ratfun(q_deform(source), order)
-    return series_of_ratfun(q_deform(cf_expand(Fraction(source))), order)
+    return series_of_ratfun(q_pair(source), order)

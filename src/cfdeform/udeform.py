@@ -20,13 +20,7 @@ from typing import NamedTuple, Sequence
 
 from .contfrac import CFExpansion, cf_expand
 from .errors import DegenerateParametersError, DomainError, EvaluationError
-from .exactnum import (
-    INTEGER_DOMAIN,
-    POLYNOMIAL_DOMAIN,
-    CoefficientDomain,
-    RationalFunction,
-    RingPoly,
-)
+from .exactnum import RationalFunction, RingPoly
 
 __all__ = [
     "UParams",
@@ -76,8 +70,7 @@ class UParams:
             v = getattr(self, name)
             if not isinstance(v, (int, RingPoly)):
                 raise TypeError(f"entry {name} must be an int or RingPoly, got {type(v).__name__}")
-        d = self.delta
-        if (isinstance(d, int) and d == 0) or (isinstance(d, RingPoly) and d.is_zero()):
+        if self.delta == 0:
             raise DegenerateParametersError("determinant q*s - r*p must be nonzero")
 
     @classmethod
@@ -114,27 +107,26 @@ class UParams:
     def symbolic(self) -> bool:
         return any(isinstance(v, RingPoly) for v in (self.p, self.q, self.r, self.s))
 
-    @property
-    def domain(self) -> CoefficientDomain:
-        return POLYNOMIAL_DOMAIN if self.symbolic else INTEGER_DOMAIN
-
     def entries(self) -> tuple:
-        dom = self.domain
-        return tuple(dom.coerce(v) for v in (self.p, self.q, self.r, self.s))
-
-    def _zero_entry(self, v) -> bool:
-        return v == 0 if isinstance(v, int) else v.is_zero()
+        """(p, q, r, s), all RingPoly when the matrix is symbolic."""
+        values = (self.p, self.q, self.r, self.s)
+        return tuple(map(_lift, values)) if self.symbolic else values
 
     @property
     def s_is_zero(self) -> bool:
-        return self._zero_entry(self.s)
+        return self.s == 0
 
     @property
     def r_is_zero(self) -> bool:
-        return self._zero_entry(self.r)
+        return self.r == 0
 
     def __str__(self):
         return f"({self.p},{self.q};{self.r},{self.s})"
+
+
+def _lift(v):
+    # Symbolic matrices compute in RingPoly throughout, integer ones in ints.
+    return RingPoly.constant(v) if isinstance(v, int) else v
 
 
 U_NUM = UParams(1, 1, 1, 0)
@@ -164,10 +156,8 @@ def f_pair(u: UParams, x, seed=(1, 1)) -> FPair:
     representation of x because the pair at 1 is swap-invariant.
     """
     terms = _terms_of(x)
-    dom = u.domain
     p, q, r, s = u.entries()
-    fx = dom.coerce(seed[0])
-    finv = dom.coerce(seed[1])
+    fx, finv = map(_lift, seed) if u.symbolic else seed
     for _ in range(terms[-1] - 1):
         fx, finv = p * fx + q * finv, s * fx + r * finv
     for n in reversed(terms[:-1]):
@@ -224,11 +214,7 @@ class SZeroParams:
         if u.r_is_zero:
             raise DomainError("formula requires r != 0")
         if u.symbolic:
-            dom = POLYNOMIAL_DOMAIN
-            return cls(
-                RationalFunction(dom.coerce(u.p), dom.coerce(u.r)),
-                RationalFunction(dom.coerce(u.q), dom.coerce(u.r)),
-            )
+            return cls(RationalFunction(u.p, u.r), RationalFunction(u.q, u.r))
         return cls(Fraction(u.p, u.r), Fraction(u.q, u.r))
 
 

@@ -1,4 +1,7 @@
+import concurrent.futures
 import json
+import os
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -298,6 +301,92 @@ def test_parallel_sweep_matches_serial():
     s2 = run_property_sweep("anti-unimodality", U_RZERO_POLY, 6, jobs=1)
     p2 = run_property_sweep("anti-unimodality", U_RZERO_POLY, 6, jobs=2)
     assert s2.as_dict() == p2.as_dict()
+
+
+@pytest.mark.parametrize("name", ["defining-equations", "integrality"])
+def test_parallel_sweep_keeps_non_variable_polynomial_entries(monkeypatch, name):
+    # p + 1 is symbolic but not the bare variable; workers must sweep it as
+    # given, not as the integer matrix (1,1;1,0).
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    u = UParams(RingPoly([1, 1]), 1, 1, 0)
+    serial = run_property_sweep(name, u, 6, order=10, jobs=1)
+    parallel = run_property_sweep(name, u, 6, order=10, jobs=2)
+    assert parallel.as_dict() == serial.as_dict()
+    assert serial.details["u"] == str(u)
+
+
+class _InlineExecutor:
+    """Stand-in for ProcessPoolExecutor: records its worker count, pickles
+    each chunk's arguments as a process boundary would, and runs the chunk
+    in this process only when its result is asked for."""
+
+    instances: list = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.futures = []
+        _InlineExecutor.instances.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = _LazyFuture(fn, pickle.loads(pickle.dumps(args)))
+        self.futures.append(future)
+        return future
+
+
+class _LazyFuture:
+    def __init__(self, fn, args):
+        self.fn, self.args = fn, args
+        self.ran = self.cancelled = False
+
+    def result(self):
+        self.ran = True
+        return self.fn(*self.args)
+
+    def cancel(self):
+        self.cancelled = not self.ran
+        return self.cancelled
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    _InlineExecutor.instances = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InlineExecutor)
+    return _InlineExecutor.instances
+
+
+def test_parallel_sweep_clamps_worker_count(monkeypatch, inline_pool):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    report = run_property_sweep("defining-equations", U_SZERO_POLY, 6, jobs=1000)
+    assert inline_pool[-1].max_workers == 3
+    assert {f.args[1] for f in inline_pool[-1].futures} == {U_SZERO_POLY}
+    assert report.holds and report.tested == 2**6 - 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    run_property_sweep("defining-equations", U_SZERO_POLY, 2, jobs=64)
+    assert inline_pool[-1].max_workers == 3  # three rationals, three chunks
+    run_property_sweep("defining-equations", U_SZERO_POLY, 1, jobs=64)
+    assert len(inline_pool) == 2  # one rational runs in this process
+
+
+def test_parallel_sweep_cancels_queued_chunks(monkeypatch, inline_pool):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    report = run_property_sweep("anti-unimodality", U_RZERO_POLY, 8, jobs=4)
+    assert report.counterexample["x"] == "3/2"
+    futures = inline_pool[-1].futures
+    first_bad = max(i for i, f in enumerate(futures) if f.ran)
+    assert first_bad < len(futures) - 1
+    assert all(f.cancelled for f in futures[first_bad + 1 :])
+
+
+def test_symbolic_sweeps_reject_integer_matrix():
+    for name in ("integrality", "unimodality", "anti-unimodality", "alternation"):
+        with pytest.raises(DomainError, match="symbolic"):
+            run_property_sweep(name, UParams(2, 3, 1, 1), 4)
 
 
 def test_observation_report_structure():

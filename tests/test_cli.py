@@ -187,6 +187,24 @@ def test_max_order_env_cap():
     assert code == 1
 
 
+def test_observation_check_needs_symbolic_matrix():
+    for name in ("unimodality", "anti-unimodality", "alternation", "integrality"):
+        code, out, err = run_cli("check", "--property", name, "--u", "2,3,1,1", "--max-ell", "5")
+        assert code == 1 and out == b""
+        assert b"Traceback" not in err and err.count(b"\n") == 1
+        assert b"symbolic" in err
+
+
+def test_max_order_env_must_be_nonnegative_integer():
+    for raw in ("abc", "-3", "2.5"):
+        code, out, err = run_cli(
+            "qseries", "--x", "7/5", "--order", "5", env_extra={"UDEFORM_MAX_ORDER": raw}
+        )
+        assert code == 1 and out == b""
+        assert b"Traceback" not in err and err.count(b"\n") == 1
+        assert b"UDEFORM_MAX_ORDER" in err
+
+
 def test_byte_determinism():
     for args in (
         ("eval", "--u", "p,1,1,0", "--x", "17/31", "--format", "json"),

@@ -13,7 +13,7 @@ from oracles import (
 from cfdeform.contfrac import StreamingCF, cf_expand, cf_value
 from cfdeform.errors import TermsExhaustedError
 from cfdeform.exactnum import RationalFunction, RingPoly
-from cfdeform.qdeform import even_length_terms, q_deform, q_deform_series, q_int
+from cfdeform.qdeform import even_length_terms, q_deform, q_deform_series, q_int, q_pair
 
 Q = RingPoly.variable()
 
@@ -90,6 +90,33 @@ def test_series_displays():
 
 def test_golden_stream_series():
     assert list(q_deform_series(StreamingCF.golden(), 20)) == Q_GOLDEN_SERIES_21
+
+
+def _alternating_a004148(order):
+    # Coefficients of A = 1 + xA + x^2 A (A - 1), the generating function of
+    # A004148, with the golden q-series shape: 1, 0, then a_(k-1) signed
+    # by (-1)^k.
+    a = [1, 1]
+    while len(a) < order:
+        n = len(a)
+        conv = sum(a[k] * a[n - 2 - k] for k in range(n - 1))
+        a.append(a[n - 1] + conv - a[n - 2])
+    return [1, 0] + [(-1) ** k * a[k - 1] for k in range(2, order + 1)]
+
+
+def test_golden_stream_series_order_100():
+    assert _alternating_a004148(20) == Q_GOLDEN_SERIES_21
+    assert list(q_deform_series(StreamingCF.golden(), 100)) == _alternating_a004148(100)
+
+
+def test_pair_recursion_is_already_reduced(rationals_ell_10):
+    # The gcd-free pair must be the normal form RationalFunction produces,
+    # for every rational of term sum at most 10.
+    for x, _ in rationals_ell_10:
+        num, den = q_pair(x)
+        reduced = RationalFunction(num, den)
+        assert (reduced.num, reduced.den) == (num, den), x
+        assert den.constant_term == 1
 
 
 def test_stream_exhaustion():
