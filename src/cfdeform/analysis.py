@@ -15,10 +15,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .contfrac import CFExpansion, StreamingCF, cf_expand, cf_value, j_rewrite
-from .errors import DomainError, StabilizationError, TermsExhaustedError
+from .contfrac import CFExpansion, StreamingCF, cf_expand, cf_value, j_rewrite, stabilized_series
+from .errors import DomainError
 from .exactnum import RingPoly, TruncatedSeries, series_of_ratfun
 from .udeform import (
+    U_CON,
     U_RZERO_POLY,
     U_SZERO_POLY,
     FPair,
@@ -179,10 +180,6 @@ class ConvergentPair(NamedTuple):
     denominator: RingPoly
 
 
-def _qint_poly(n: int) -> RingPoly:
-    return RingPoly((1,) * n)
-
-
 def convergent_polys(terms: Sequence[int] | CFExpansion) -> list[ConvergentPair]:
     """Deformed convergents of a term prefix under the (p,1;1,0) family.
 
@@ -194,12 +191,12 @@ def convergent_polys(terms: Sequence[int] | CFExpansion) -> list[ConvergentPair]
     ts = terms.terms if isinstance(terms, CFExpansion) else tuple(terms)
     if not ts:
         raise DomainError("empty continued fraction")
-    r_prev, r_cur = RingPoly((1,)), _qint_poly(ts[0])
+    r_prev, r_cur = RingPoly((1,)), RingPoly((1,) * ts[0])
     s_prev, s_cur = RingPoly(), RingPoly((1,))
     out = [ConvergentPair(r_cur, s_cur)]
     for k in range(1, len(ts)):
         lift = RingPoly.monomial(ts[k - 1])
-        qk = _qint_poly(ts[k])
+        qk = RingPoly((1,) * ts[k])
         r_prev, r_cur = r_cur, qk * r_cur + lift * r_prev
         s_prev, s_cur = s_cur, qk * s_cur + lift * s_prev
         out.append(ConvergentPair(r_cur, s_cur))
@@ -218,27 +215,6 @@ def convergent_determinant(pairs: Sequence[ConvergentPair], k: int) -> RingPoly:
     return b.numerator * a.denominator - b.denominator * a.numerator
 
 
-def _pull_terms(source, order: int) -> list[int]:
-    # Pull until the *shorter* of the final two prefixes has term sum at
-    # least order + 2; the adjacent-convergent difference has valuation equal
-    # to that sum, so this guarantees agreement past the requested order.
-    if isinstance(source, StreamingCF):
-        it = source.terms()
-        name = source.name
-    else:
-        it = iter(source)
-        name = "terms"
-    terms: list[int] = []
-    while sum(terms[:-1]) < order + 2:
-        try:
-            terms.append(next(it))
-        except StopIteration:
-            raise TermsExhaustedError(
-                f"continued fraction terms exhausted: {name} cannot reach order {order}"
-            ) from None
-    return terms
-
-
 def irrational_series(source, u: UParams, order: int) -> TruncatedSeries:
     """Taylor coefficients of a deformed irrational via its convergents.
 
@@ -250,32 +226,17 @@ def irrational_series(source, u: UParams, order: int) -> TruncatedSeries:
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if u not in (U_SZERO_POLY, U_RZERO_POLY):
-        raise DomainError(
-            "series extraction supports the one-variable families (p,1;1,0) and (p,1;0,1)"
-        )
-    terms = _pull_terms(source, order)
     if u == U_SZERO_POLY:
-        pairs = convergent_polys(terms)
-        prev_pair, last_pair = pairs[-2], pairs[-1]
-        prev = series_of_ratfun((prev_pair.numerator, prev_pair.denominator), order)
-        last = series_of_ratfun((last_pair.numerator, last_pair.denominator), order)
-        proved = terms[0] >= 1
-    else:
-        fp_prev = f_pair(u, terms[:-1])
-        fp_last = f_pair(u, terms)
-        prev = series_of_ratfun((fp_prev.fx, fp_prev.finv), order)
-        last = series_of_ratfun((fp_last.fx, fp_last.finv), order)
-        proved = False
-    if prev != last:
-        message = (
-            "consecutive deformed convergents disagree to order "
-            f"{order} (prefix sums {sum(terms[:-1])} and {sum(terms)})"
+        return stabilized_series(
+            source, order, lambda ts: convergent_polys(ts)[-2:], lambda ts: ts[0] >= 1
         )
-        if proved:
-            message = "internal error: " + message
-        raise StabilizationError(message, series_a=prev, series_b=last)
-    return last
+    if u == U_RZERO_POLY:
+        return stabilized_series(
+            source, order, lambda ts: (f_pair(u, ts[:-1]), f_pair(u, ts)), lambda ts: False
+        )
+    raise DomainError(
+        "series extraction supports the one-variable families (p,1;1,0) and (p,1;0,1)"
+    )
 
 
 def stabilization_depth(prev_cf, cur_cf, order: int) -> int:
@@ -293,13 +254,8 @@ def stabilization_depth(prev_cf, cur_cf, order: int) -> int:
     if prev_terms == cur_terms:
         return order + 1
     pairs = convergent_polys(cur_terms)
-    a, b = pairs[len(prev_terms) - 1], pairs[-1]
-    sa = series_of_ratfun((a.numerator, a.denominator), order)
-    sb = series_of_ratfun((b.numerator, b.denominator), order)
-    depth = 0
-    while depth <= order and sa[depth] == sb[depth]:
-        depth += 1
-    return depth
+    prev = series_of_ratfun(pairs[len(prev_terms) - 1], order)
+    return prev.agreement(series_of_ratfun(pairs[-1], order))
 
 
 # ---------------------------------------------------------------------------
@@ -450,10 +406,8 @@ OBSERVATION_PROPERTIES = frozenset({"unimodality", "anti-unimodality", "alternat
 # Properties of polynomial coefficients, meaningless for an integer matrix.
 _SYMBOLIC_PROPERTIES = OBSERVATION_PROPERTIES | {"integrality"}
 
-
-def _series_of_pair(u: UParams, x, order: int) -> TruncatedSeries:
-    fp = f_pair(u, x)
-    return series_of_ratfun((fp.fx, fp.finv), order)
+# Properties stated for one matrix only; any other matrix is refused.
+_FIXED_MATRIX = {"stabilization": U_SZERO_POLY, "involution": U_CON}
 
 
 def _px_defining_equations(u: UParams, x: Fraction, order: int) -> dict | None:
@@ -472,7 +426,7 @@ def _px_defining_equations(u: UParams, x: Fraction, order: int) -> dict | None:
 
 
 def _px_integrality(u: UParams, x: Fraction, order: int) -> dict | None:
-    ok, index = _series_of_pair(u, x, order).is_integral()
+    ok, index = series_of_ratfun(f_pair(u, x), order).is_integral()
     if not ok:
         return {"x": str(x), "index": index}
     return None
@@ -489,7 +443,7 @@ def _px_anti_unimodality(u: UParams, x: Fraction, order: int) -> dict | None:
 
 
 def _px_alternation(u: UParams, x: Fraction, order: int) -> dict | None:
-    report = check_sign_alternation(_series_of_pair(u, x, order), subject=x)
+    report = check_sign_alternation(series_of_ratfun(f_pair(u, x), order), subject=x)
     if not report.holds:
         out = dict(report.counterexample)
         if "zero_indices" in report.details:
@@ -503,8 +457,9 @@ def _px_stabilization(u: UParams, x: Fraction, order: int) -> dict | None:
     if terms[0] == 0 or len(terms) < 2:
         return None
     expand_to = sum(terms) + 2
+    series = [series_of_ratfun(pair, expand_to) for pair in convergent_polys(terms)]
     for k in range(1, len(terms)):
-        depth = stabilization_depth(terms[:k], terms[: k + 1], expand_to)
+        depth = series[k - 1].agreement(series[k])
         bound = sum(terms[:k])
         if depth < bound:
             return {"x": str(x), "prefix": k + 1, "depth": depth, "bound": bound}
@@ -591,9 +546,9 @@ def run_property_sweep(
         raise DomainError(f"unknown property {name!r}")
     if name in _SYMBOLIC_PROPERTIES and not u.symbolic:
         raise DomainError(f"the {name} sweep needs a symbolic matrix, e.g. p,1,1,0")
+    if name in _FIXED_MATRIX and u != _FIXED_MATRIX[name]:
+        raise DomainError(f"the {name} sweep is stated for {_FIXED_MATRIX[name]} only, not {u}")
     xs = [x for x, _ in enumerate_rationals(max_ell)]
-    if name == "stabilization":
-        u = U_SZERO_POLY
     violation: dict | None = None
     tested = 0
     workers = min(jobs, os.cpu_count() or 1)

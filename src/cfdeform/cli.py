@@ -198,16 +198,9 @@ def _cmd_series(args) -> int:
         series = series_of_ratfun(value, order)
         subject = args.x
     else:
-        if u == U_SZERO_POLY:
-            pass
-        elif u == U_RZERO_POLY:
-            if not args.heuristic:
-                raise DomainError(
-                    "constants under the (p,1;0,1) family are heuristic; pass --heuristic"
-                )
-        else:
+        if u == U_RZERO_POLY and not args.heuristic:
             raise DomainError(
-                "constant series support the families p,1,1,0 and p,1,0,1 only"
+                "constants under the (p,1;0,1) family are heuristic; pass --heuristic"
             )
         source = _CONST_SOURCES[args.const]()
         series = irrational_series(source, u, order)

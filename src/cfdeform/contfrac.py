@@ -1,9 +1,10 @@
 """Simple continued fractions over the positive rationals.
 
 Canonical expansions, exact reconstruction, the term-sum weight ``ell``,
-streaming term sources for the builtin irrational constants, and the
-rewriting rule that realizes the involution x -> con(x)/con(1/x) directly on
-continued-fraction terms.
+streaming term sources for the builtin irrational constants, the one
+routine that turns a source into a series by comparing its last two deformed
+convergents, and the rewriting rule that realizes the involution
+x -> con(x)/con(1/x) directly on continued-fraction terms.
 
 Text syntax (used by the CLI): a continued fraction is ``[2,1,2,1,1,4]``, a
 rational is ``p/q`` or a bare integer literal.
@@ -15,12 +16,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import DomainError, TermsExhaustedError
+from .errors import DomainError, StabilizationError, TermsExhaustedError
+from .exactnum import TruncatedSeries, series_of_ratfun
 
 __all__ = [
     "CFExpansion",
     "StreamingCF",
     "PI_CF_TERMS",
+    "stabilized_series",
     "cf_expand",
     "cf_value",
     "ell",
@@ -222,6 +225,53 @@ class StreamingCF:
             yield from ts
 
         return cls(f"literal({list(ts)})", gen)
+
+
+def stabilized_series(
+    source, order: int, last_pairs: Callable, proved: Callable
+) -> TruncatedSeries:
+    """Coefficients 0..order of a deformed irrational from its convergents.
+
+    Pulls terms until a = terms[:-1] has term sum at least order + 2, gets
+    the (numerator, denominator) pairs of a and b = terms from
+    ``last_pairs(terms)``, expands both and demands that they agree.
+
+    Where ``proved(terms)`` holds, agreement is a theorem and a mismatch is
+    an internal error: both denominators have constant term 1 and
+    num_a den_b - num_b den_a = +-t^v with v >= sum(a) - 1 >= order + 1, so
+    the expansions agree below index v.  Under (p,1;1,0) with a first term
+    >= 1, v = sum(a) (convergent_determinant).  For q, q_pair(terms) is
+    P_n e1 for odd n = len(terms) and q^-1 P_n e1 for even n, where P_n is
+    the product of the first n q_pair levels, each of determinant -q^(a_i);
+    so the cross-difference is q^-1 det(P_n) (M_n)_21 with n = len(a),
+    giving v = sum(a) - 1 for even n and v = sum(b) - 1 for odd n.
+    Elsewhere a mismatch is the expected StabilizationError.
+    """
+    if isinstance(source, StreamingCF):
+        it, name = source.terms(), source.name
+    else:
+        it, name = iter(source), "terms"
+    terms: list[int] = []
+    while sum(terms[:-1]) < order + 2:
+        try:
+            terms.append(next(it))
+        except StopIteration:
+            raise TermsExhaustedError(
+                f"continued fraction terms exhausted: {name} cannot reach order {order}"
+            ) from None
+    pair_a, pair_b = last_pairs(terms)
+    prev = series_of_ratfun(pair_a, order)
+    last = series_of_ratfun(pair_b, order)
+    if prev != last:
+        message = (
+            f"consecutive deformed convergents of {name} disagree at index "
+            f"{prev.agreement(last)} of order {order} (prefix sums "
+            f"{sum(terms[:-1])} and {sum(terms)}, {len(terms)} terms pulled)"
+        )
+        if proved(terms):
+            message = "internal error: " + message
+        raise StabilizationError(message, series_a=prev, series_b=last)
+    return last
 
 
 def convergents(src: StreamingCF | Sequence[int], count: int) -> list[Fraction]:

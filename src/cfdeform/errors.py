@@ -30,10 +30,10 @@ class TermsExhaustedError(RuntimeError):
 
 
 class StabilizationError(RuntimeError):
-    """Consecutive deformed convergents disagree within the term budget.
+    """Consecutive deformed convergents disagree on the requested prefix.
 
-    ``series_a`` and ``series_b`` hold the two conflicting expansions when
-    available, so callers can inspect how far agreement went.
+    ``series_a`` and ``series_b`` hold the two conflicting expansions, and
+    the message names the first index where they differ.
     """
 
     def __init__(self, message: str, series_a=None, series_b=None):

@@ -458,9 +458,14 @@ class TruncatedSeries:
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        return len(self.coeffs) == len(other.coeffs) and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
+        return len(self.coeffs) == len(other.coeffs) == self.agreement(other)
+
+    def agreement(self, other: "TruncatedSeries") -> int:
+        """Number of leading coefficients the two series share."""
+        for i, (a, b) in enumerate(zip(self.coeffs, other.coeffs)):
+            if a != b:
+                return i
+        return min(len(self.coeffs), len(other.coeffs))
 
     def __hash__(self):
         return hash(tuple(Fraction(c) for c in self.coeffs))

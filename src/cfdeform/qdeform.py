@@ -10,13 +10,13 @@ are first rewritten via [..., n] = [..., n-1, 1], which leaves the value
 unchanged; a leading 0 term (values below one) enters the tower as the zero
 bracket.  The tower is evaluated as a product of 2x2 polynomial matrices
 acting on a (numerator, denominator) pair, which comes out already in
-lowest terms.
+lowest terms.  Consecutive prefixes differ by a power of q, which proves
+how many terms of an irrational the q-series needs.
 """
 
 from __future__ import annotations
 
-from .contfrac import CFExpansion, StreamingCF, cf_expand
-from .errors import StabilizationError, TermsExhaustedError
+from .contfrac import CFExpansion, StreamingCF, cf_expand, stabilized_series
 from .exactnum import RationalFunction, RingPoly, TruncatedSeries, series_of_ratfun
 
 __all__ = ["q_int", "q_pair", "q_deform", "q_deform_series", "even_length_terms"]
@@ -81,49 +81,17 @@ def q_deform(cf) -> RationalFunction:
     return RationalFunction(*q_pair(cf))
 
 
-def _stream_series(src: StreamingCF, order: int) -> TruncatedSeries:
-    # Compare consecutive prefix deformations until they agree to the
-    # requested order; extend past the initial budget if the source allows.
-    terms: list[int] = []
-    it = src.terms()
-
-    def pull() -> bool:
-        try:
-            terms.append(next(it))
-        except StopIteration:
-            raise TermsExhaustedError(
-                f"continued fraction terms exhausted: {src.name}"
-            ) from None
-        return True
-
-    while sum(terms) < order + 2:
-        pull()
-    pull()
-    budget = 8 * (order + 2)
-    prev = series_of_ratfun(q_pair(terms[:-1]), order)
-    while True:
-        cur = series_of_ratfun(q_pair(terms), order)
-        if cur == prev:
-            return cur
-        if sum(terms) > budget:
-            raise StabilizationError(
-                f"q-deformed convergents of {src.name} did not stabilize to order {order}",
-                series_a=prev,
-                series_b=cur,
-            )
-        prev = cur
-        pull()
-
-
 def q_deform_series(source, order: int) -> TruncatedSeries:
     """Taylor coefficients of the q-deformation at q = 0.
 
-    Finite expansions (or rationals) expand exactly; streaming sources go
-    through convergent stabilization, requiring two consecutive prefix
-    deformations to agree on all order+1 coefficients.
+    Finite expansions (or rationals) expand exactly; streaming sources pull
+    the proved number of terms (contfrac.stabilized_series) and check that
+    the last two prefix deformations agree on all order+1 coefficients.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     if isinstance(source, StreamingCF):
-        return _stream_series(source, order)
+        return stabilized_series(
+            source, order, lambda ts: (q_pair(ts[:-1]), q_pair(ts)), lambda ts: True
+        )
     return series_of_ratfun(q_pair(source), order)

@@ -35,6 +35,7 @@ from cfdeform.analysis import (
 from cfdeform.contfrac import StreamingCF, cf_expand
 from cfdeform.errors import DomainError, StabilizationError, TermsExhaustedError
 from cfdeform.exactnum import RingPoly, TruncatedSeries, series_of_ratfun
+from cfdeform.qdeform import q_deform_series
 from cfdeform.udeform import (
     U_NUM,
     U_RZERO_POLY,
@@ -161,6 +162,52 @@ def test_rzero_golden_does_not_stabilize():
     assert err.value.series_a is not None
     assert err.value.series_b is not None
     assert err.value.series_a != err.value.series_b
+
+
+def test_stabilization_error_names_first_differing_index():
+    with pytest.raises(StabilizationError) as err:
+        irrational_series(StreamingCF.golden(), U_RZERO_POLY, 5)
+    a, b = err.value.series_a, err.value.series_b
+    index = next(i for i in range(len(a)) if a[i] != b[i])
+    assert index == 1
+    message = str(err.value)
+    assert f"at index {index} of order 5" in message
+    assert "periodic([],[1])" in message
+    assert "prefix sums 7 and 8, 8 terms pulled" in message
+    assert not message.startswith("internal error")
+
+
+def _disagreeing_pairs(terms):
+    # Prefixes of odd and even length expand to 1 and 1 - t + t^2 - ...
+    one = RingPoly((1,))
+    return (one, one) if len(terms) % 2 else (one, RingPoly((1, 1)))
+
+
+@pytest.mark.parametrize(
+    "module, name, stub, call, proved",
+    [
+        ("cfdeform.qdeform", "q_pair", _disagreeing_pairs,
+         lambda: q_deform_series(StreamingCF.golden(), 5), True),
+        ("cfdeform.analysis", "convergent_polys",
+         lambda terms: [_disagreeing_pairs(terms[:-1]), _disagreeing_pairs(terms)],
+         lambda: irrational_series(StreamingCF.golden(), U_SZERO_POLY, 5), True),
+        ("cfdeform.analysis", "convergent_polys",
+         lambda terms: [_disagreeing_pairs(terms[:-1]), _disagreeing_pairs(terms)],
+         lambda: irrational_series(StreamingCF.periodic([0], [1]), U_SZERO_POLY, 5), False),
+        ("cfdeform.analysis", "f_pair",
+         lambda u, terms: _disagreeing_pairs(terms),
+         lambda: irrational_series(StreamingCF.golden(), U_RZERO_POLY, 5), False),
+    ],
+    ids=["q", "szero", "szero-below-one", "rzero"],
+)
+def test_disagreement_is_internal_error_only_where_proved(
+    monkeypatch, module, name, stub, call, proved
+):
+    monkeypatch.setattr(f"{module}.{name}", stub)
+    with pytest.raises(StabilizationError) as err:
+        call()
+    assert str(err.value).startswith("internal error: ") == proved
+    assert "at index 1 of order 5" in str(err.value)
 
 
 def test_series_source_exhaustion():

@@ -195,6 +195,23 @@ def test_observation_check_needs_symbolic_matrix():
         assert b"symbolic" in err
 
 
+@pytest.mark.parametrize(
+    "name, u, stated",
+    [("stabilization", "2,3,1,1", b"(p,1;1,0)"), ("involution", "p,1,1,0", b"(1,1;0,1)")],
+)
+def test_fixed_matrix_property_refuses_other_matrix(name, u, stated):
+    code, out, err = run_cli("check", "--property", name, "--u", u, "--max-ell", "5")
+    assert code == 1 and out == b""
+    assert b"Traceback" not in err and err.count(b"\n") == 1
+    assert stated in err
+
+
+def test_constant_series_refuses_other_matrix():
+    code, out, err = run_cli("series", "--u", "p,p,1,0", "--const", "e", "--order", "5")
+    assert code == 1 and out == b""
+    assert b"Traceback" not in err and err.count(b"\n") == 1
+
+
 def test_max_order_env_must_be_nonnegative_integer():
     for raw in ("abc", "-3", "2.5"):
         code, out, err = run_cli(

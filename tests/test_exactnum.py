@@ -207,3 +207,12 @@ def test_fraction_constructor_invariants():
     for _ in range(50):
         fr = Fraction(rng.randint(-200, 200), rng.randint(1, 200))
         assert gcd(fr.numerator, fr.denominator) == 1 and fr.denominator > 0
+
+
+def test_series_agreement_counts_shared_leading_coefficients():
+    a = TruncatedSeries([1, 2, 3, 4])
+    assert a.agreement(a) == 4
+    assert a.agreement(TruncatedSeries([1, 2, 5, 4])) == 2
+    assert a.agreement(TruncatedSeries([0, 2, 3, 4])) == 0
+    assert a.agreement(TruncatedSeries([1, 2])) == 2
+    assert a != TruncatedSeries([1, 2])

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     Q_7_5,
@@ -117,6 +118,63 @@ def test_pair_recursion_is_already_reduced(rationals_ell_10):
         reduced = RationalFunction(num, den)
         assert (reduced.num, reduced.den) == (num, den), x
         assert den.constant_term == 1
+
+
+def _term_tuples(max_sum):
+    # Every expansion [n0, n1, ..., nk] with n0 >= 0, later terms >= 1 and
+    # term sum at most max_sum, except the zero expansion [0].
+    stack = [(n0,) for n0 in range(max_sum + 1)]
+    while stack:
+        terms = stack.pop()
+        if terms != (0,):
+            yield terms
+        for n in range(1, max_sum - sum(terms) + 1):
+            stack.append(terms + (n,))
+
+
+def _assert_cross_difference_is_power(terms):
+    # For a = terms[:-1] and b = terms, num_a den_b - num_b den_a is +-q^v
+    # with v = sum(a) - 1 (len(a) even) or sum(b) - 1 (len(a) odd), and both
+    # denominators have constant term 1: the proof behind the q pull count.
+    a, b = terms[:-1], terms
+    num_a, den_a = q_pair(a)
+    num_b, den_b = q_pair(b)
+    v = sum(a) - 1 if len(a) % 2 == 0 else sum(b) - 1
+    cross = num_a * den_b - num_b * den_a
+    assert cross in (RingPoly.monomial(v), RingPoly.monomial(v, -1)), terms
+    assert den_a.constant_term == den_b.constant_term == 1, terms
+
+
+def test_cross_difference_of_consecutive_prefixes():
+    checked = 0
+    for terms in _term_tuples(10):
+        if len(terms) >= 2 and terms[:-1] != (0,):
+            _assert_cross_difference_is_power(terms)
+            checked += 1
+    assert checked == 2026
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=6),
+    st.lists(st.integers(min_value=1, max_value=9), min_size=2, max_size=16),
+)
+def test_cross_difference_on_longer_expansions(n0, tail):
+    _assert_cross_difference_is_power((n0, *tail))
+
+
+@pytest.mark.parametrize("order", [0, 1, 5, 20, 60])
+def test_golden_stream_pulls_order_plus_three_terms(order):
+    pulled = []
+
+    def counted():
+        while True:
+            pulled.append(1)
+            yield 1
+
+    series = q_deform_series(StreamingCF("counted golden", counted), order)
+    assert list(series) == list(q_deform_series(StreamingCF.golden(), order))
+    assert len(pulled) == order + 3
 
 
 def test_stream_exhaustion():
