@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 from .contfrac import CFExpansion, StreamingCF, cf_expand, cf_value, j_rewrite, stabilized_series
 from .errors import DomainError
@@ -26,6 +26,7 @@ from .udeform import (
     UParams,
     f_pair,
     j_quotient,
+    level,
 )
 
 __all__ = [
@@ -34,7 +35,6 @@ __all__ = [
     "GENERALIZED_CATALAN",
     "FIBONACCI",
     "PropertyReport",
-    "ConvergentPair",
     "enumerate_rationals",
     "bfs_oracle",
     "convergent_polys",
@@ -173,37 +173,25 @@ def bfs_oracle(u: UParams, max_ell: int) -> dict[Fraction, FPair]:
 # Deformed convergents and stabilization
 
 
-class ConvergentPair(NamedTuple):
-    """Deformed numerator/denominator of one continued-fraction prefix."""
-
-    numerator: RingPoly
-    denominator: RingPoly
-
-
-def convergent_polys(terms: Sequence[int] | CFExpansion) -> list[ConvergentPair]:
+def convergent_polys(terms: Sequence[int] | CFExpansion) -> list[FPair]:
     """Deformed convergents of a term prefix under the (p,1;1,0) family.
 
-    pairs[k] is the deformed numerator/denominator of the first k+1 terms,
-    from the two-term recursion with the deformed integers as partial
-    quotients; pairs[k].numerator/denominator equal the solution pair of
-    the prefix value exactly.
+    pairs[k] is the solution pair of the first k+1 terms, the first column
+    of the product L_0 ... L_k of the walk's levels (udeform.level) taken
+    left to right.  Each level ([n]_p, p^n; 1, 0) makes the columns follow
+    the classical two-term recursion; a leading 0 term gives (0, 1).
     """
-    ts = terms.terms if isinstance(terms, CFExpansion) else tuple(terms)
-    if not ts:
-        raise DomainError("empty continued fraction")
-    r_prev, r_cur = RingPoly((1,)), RingPoly((1,) * ts[0])
-    s_prev, s_cur = RingPoly(), RingPoly((1,))
-    out = [ConvergentPair(r_cur, s_cur)]
-    for k in range(1, len(ts)):
-        lift = RingPoly.monomial(ts[k - 1])
-        qk = RingPoly((1,) * ts[k])
-        r_prev, r_cur = r_cur, qk * r_cur + lift * r_prev
-        s_prev, s_cur = s_cur, qk * s_cur + lift * s_prev
-        out.append(ConvergentPair(r_cur, s_cur))
+    ts = terms.terms if isinstance(terms, CFExpansion) else CFExpansion(tuple(terms)).terms
+    a, b, c, d = RingPoly((1,)), RingPoly(), RingPoly(), RingPoly((1,))
+    out = []
+    for n in ts:
+        e, f, g, h = level(U_SZERO_POLY, True, n)
+        a, b, c, d = e * a + g * b, f * a + h * b, e * c + g * d, f * c + h * d
+        out.append(FPair(a, c))
     return out
 
 
-def convergent_determinant(pairs: Sequence[ConvergentPair], k: int) -> RingPoly:
+def convergent_determinant(pairs: Sequence[FPair], k: int) -> RingPoly:
     """R_k S_(k-1) - S_k R_(k-1) for adjacent entries of convergent_polys.
 
     Equals (-1)^(k+1) p^(n_0 + ... + n_(k-1)) exactly, which is what makes
@@ -212,7 +200,12 @@ def convergent_determinant(pairs: Sequence[ConvergentPair], k: int) -> RingPoly:
     if k < 1 or k >= len(pairs):
         raise IndexError("determinant needs two adjacent convergents")
     a, b = pairs[k - 1], pairs[k]
-    return b.numerator * a.denominator - b.denominator * a.numerator
+    return b.fx * a.finv - b.finv * a.fx
+
+
+# The one-variable families with a series, and where the agreement of their
+# last two convergents is proved (see contfrac.stabilized_series).
+_SERIES_PROVED = {U_SZERO_POLY: lambda terms: terms[0] >= 1, U_RZERO_POLY: lambda terms: False}
 
 
 def irrational_series(source, u: UParams, order: int) -> TruncatedSeries:
@@ -226,17 +219,11 @@ def irrational_series(source, u: UParams, order: int) -> TruncatedSeries:
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if u == U_SZERO_POLY:
-        return stabilized_series(
-            source, order, lambda ts: convergent_polys(ts)[-2:], lambda ts: ts[0] >= 1
+    if u not in _SERIES_PROVED:
+        raise DomainError(
+            "series extraction supports the one-variable families (p,1;1,0) and (p,1;0,1)"
         )
-    if u == U_RZERO_POLY:
-        return stabilized_series(
-            source, order, lambda ts: (f_pair(u, ts[:-1]), f_pair(u, ts)), lambda ts: False
-        )
-    raise DomainError(
-        "series extraction supports the one-variable families (p,1;1,0) and (p,1;0,1)"
-    )
+    return stabilized_series(source, order, lambda terms: f_pair(u, terms), _SERIES_PROVED[u])
 
 
 def stabilization_depth(prev_cf, cur_cf, order: int) -> int:
@@ -247,15 +234,13 @@ def stabilization_depth(prev_cf, cur_cf, order: int) -> int:
     sum does not exceed the expansion order); identical inputs give
     order + 1.
     """
-    prev_terms = prev_cf.terms if isinstance(prev_cf, CFExpansion) else tuple(prev_cf)
-    cur_terms = cur_cf.terms if isinstance(cur_cf, CFExpansion) else tuple(cur_cf)
+    prev_terms, cur_terms = tuple(prev_cf), tuple(cur_cf)
     if prev_terms != cur_terms[:-1] and prev_terms != cur_terms:
         raise DomainError("expected consecutive prefixes of one expansion")
     if prev_terms == cur_terms:
         return order + 1
-    pairs = convergent_polys(cur_terms)
-    prev = series_of_ratfun(pairs[len(prev_terms) - 1], order)
-    return prev.agreement(series_of_ratfun(pairs[-1], order))
+    prev = series_of_ratfun(f_pair(U_SZERO_POLY, prev_terms), order)
+    return prev.agreement(series_of_ratfun(f_pair(U_SZERO_POLY, cur_terms), order))
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +525,8 @@ def run_property_sweep(
     ``oracle-equivalence`` always runs in a single pass (the table is the
     point of it).
     """
+    if max_ell < 1:
+        raise DomainError(f"max_ell must be at least 1, got {max_ell}")
     if name == "oracle-equivalence":
         return sweep_oracle_equivalence(u, max_ell)
     if name not in _PER_X_CHECKS:

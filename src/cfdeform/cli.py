@@ -13,7 +13,8 @@ rational strings ("a" or "a/b"), so coefficients never lose precision.
 
 Exit codes: 0 success, 1 malformed input or a failed hard property,
 2 degenerate parameter matrix, 3 stabilization failure or an exhausted
-term source.  UDEFORM_MAX_ORDER (default 200) caps series orders.
+term source.  UDEFORM_MAX_ORDER (default 200) caps series orders, and
+``check --max-ell`` is capped at 20.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ from .udeform import U_RZERO_POLY, U_SZERO_POLY, UParams, f_pair, j_quotient, qu
 
 MAX_ORDER_ENV = "UDEFORM_MAX_ORDER"
 DEFAULT_MAX_ORDER = 200
+# Sweeps enumerate 2^max_ell - 1 rationals, about 150 bytes each: 200 MB at 20.
+MAX_SWEEP_ELL = 20
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -289,6 +292,8 @@ def _cmd_check(args) -> int:
     u_text = args.u if args.u is not None else _DEFAULT_CHECK_U[name]
     u = UParams.parse(u_text)
     order = _check_order(args.order)
+    if args.max_ell > MAX_SWEEP_ELL:
+        raise DomainError(f"max-ell {args.max_ell} exceeds the cap {MAX_SWEEP_ELL}")
     report = run_property_sweep(name, u, args.max_ell, order, jobs=args.jobs)
     inputs = {"property": name, "u": u_text, "max_ell": args.max_ell, "order": order}
     result = report.as_dict()
@@ -401,7 +406,7 @@ def _build_parser() -> _Parser:
                        help=f"one of: {', '.join(PROPERTY_NAMES)}")
     p_chk.add_argument("--u", default=None, help="parameter entries (per-property default)")
     p_chk.add_argument("--max-ell", type=int, default=10, dest="max_ell",
-                       help="sweep every rational with term sum at most this")
+                       help="sweep every rational with term sum at most this (1 to 20)")
     p_chk.add_argument("--order", type=int, default=20, help="series order where relevant")
     p_chk.add_argument("--jobs", type=int, default=1,
                        help="worker processes for the sweep, capped at the CPU count")

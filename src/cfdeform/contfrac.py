@@ -227,14 +227,12 @@ class StreamingCF:
         return cls(f"literal({list(ts)})", gen)
 
 
-def stabilized_series(
-    source, order: int, last_pairs: Callable, proved: Callable
-) -> TruncatedSeries:
+def stabilized_series(source, order: int, pair: Callable, proved: Callable) -> TruncatedSeries:
     """Coefficients 0..order of a deformed irrational from its convergents.
 
-    Pulls terms until a = terms[:-1] has term sum at least order + 2, gets
-    the (numerator, denominator) pairs of a and b = terms from
-    ``last_pairs(terms)``, expands both and demands that they agree.
+    Pulls terms until a = terms[:-1] has term sum at least order + 2,
+    expands the (numerator, denominator) pairs ``pair(a)`` and
+    ``pair(terms)`` and demands that they agree.
 
     Where ``proved(terms)`` holds, agreement is a theorem and a mismatch is
     an internal error: both denominators have constant term 1 and
@@ -242,9 +240,9 @@ def stabilized_series(
     the expansions agree below index v.  Under (p,1;1,0) with a first term
     >= 1, v = sum(a) (convergent_determinant).  For q, q_pair(terms) is
     P_n e1 for odd n = len(terms) and q^-1 P_n e1 for even n, where P_n is
-    the product of the first n q_pair levels, each of determinant -q^(a_i);
-    so the cross-difference is q^-1 det(P_n) (M_n)_21 with n = len(a),
-    giving v = sum(a) - 1 for even n and v = sum(b) - 1 for odd n.
+    the product of the first n levels of the q walk, each of determinant
+    -q^(a_i); so the cross-difference is q^-1 det(P_n) (M_n)_21 with
+    n = len(a), giving v = sum(a) - 1 for even n and v = sum(b) - 1 for odd n.
     Elsewhere a mismatch is the expected StabilizationError.
     """
     if isinstance(source, StreamingCF):
@@ -259,9 +257,8 @@ def stabilized_series(
             raise TermsExhaustedError(
                 f"continued fraction terms exhausted: {name} cannot reach order {order}"
             ) from None
-    pair_a, pair_b = last_pairs(terms)
-    prev = series_of_ratfun(pair_a, order)
-    last = series_of_ratfun(pair_b, order)
+    prev = series_of_ratfun(pair(terms[:-1]), order)
+    last = series_of_ratfun(pair(terms), order)
     if prev != last:
         message = (
             f"consecutive deformed convergents of {name} disagree at index "

@@ -9,7 +9,9 @@ dense representation wins on simplicity.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -81,12 +83,14 @@ class RingPoly:
         if o is None:
             return NotImplemented
         a, b = self.coeffs, o.coeffs
+        # Zero terms are common in the walk's levels; they cost nothing.
+        if not b:
+            return self
+        if not a:
+            return o
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return RingPoly(out)
+        return RingPoly(list(map(operator.add, a, b)) + list(a[len(b) :]))
 
     __radd__ = __add__
 
@@ -112,11 +116,20 @@ class RingPoly:
         a, b = self.coeffs, o.coeffs
         if not a or not b:
             return RingPoly()
+        # So are unit entries: multiplying by the constant 1 is free.
+        if a == (1,):
+            return o
+        if b == (1,):
+            return self
+        # The outer loop skips zeros, so it runs over the operand with fewer
+        # nonzero coefficients: a power of the variable costs one pass.
+        if (len(a) - a.count(0)) * len(b) > (len(b) - b.count(0)) * len(a):
+            a, b = b, a
         out = [0] * (len(a) + len(b) - 1)
-        for i, c in enumerate(a):
-            if c:
-                for j, d in enumerate(b):
-                    out[i + j] += c * d
+        for i in itertools.compress(range(len(a)), a):
+            c = a[i]
+            for j, d in enumerate(b):
+                out[i + j] += c * d
         return RingPoly(out)
 
     __rmul__ = __mul__

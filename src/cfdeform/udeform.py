@@ -13,6 +13,7 @@ variable; the recursion is the same either way.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,6 +32,8 @@ __all__ = [
     "U_CON",
     "U_SZERO_POLY",
     "U_RZERO_POLY",
+    "level",
+    "walk",
     "f_pair",
     "quantize",
     "codenominator",
@@ -112,14 +115,6 @@ class UParams:
         values = (self.p, self.q, self.r, self.s)
         return tuple(map(_lift, values)) if self.symbolic else values
 
-    @property
-    def s_is_zero(self) -> bool:
-        return self.s == 0
-
-    @property
-    def r_is_zero(self) -> bool:
-        return self.r == 0
-
     def __str__(self):
         return f"({self.p},{self.q};{self.r},{self.s})"
 
@@ -143,28 +138,43 @@ def _terms_of(x) -> tuple[int, ...]:
     return cf_expand(x).terms
 
 
-def f_pair(u: UParams, x, seed=(1, 1)) -> FPair:
-    """Solve the defining system along the continued fraction of x.
+@functools.lru_cache(maxsize=1024)
+def level(u: UParams, symbolic: bool, n: int) -> tuple:
+    """A^n S as its rows (a, b, c, d), with A = (p q; s r) the step-up map
+    of u and S the swap.  Built as A^(k+1) = A^k A: squaring would multiply
+    dense powers, which is slower.  ``symbolic`` is in the key because a
+    matrix of constant RingPoly entries equals and hashes like the integer
+    one, but computes in RingPoly."""
+    p, q, r, s = map(_lift, u.entries()) if symbolic else u.entries()
+    x, y, z, w = map(_lift, (1, 0, 0, 1)) if symbolic else (1, 0, 0, 1)
+    for _ in range(n):
+        x, y, z, w = x * p + y * s, x * q + y * r, z * p + w * s, z * q + w * r
+    return y, x, w, z
 
-    Ascends from the pair at 1 (the seed, normally (1, 1)) with the two
-    moves derived from the defining equations applied to x and 1/x:
 
-        step up by one:   (fx, finv) -> (p fx + q finv, s fx + r finv)
-        take reciprocal:  swap the components
+def walk(us: Sequence[UParams], x) -> FPair:
+    """A_0^n0 S A_1^n1 S ... A_k^(nk - 1) (1, 1) for the continued fraction
+    [n0, ..., nk] of x, with A_i the step-up map of ``us[i % len(us)]``.
 
-    Linear in the term sum of x.  The result is independent of the chosen
-    representation of x because the pair at 1 is swap-invariant.
+    With one matrix this is f_pair; alternating (q,1;1,0) and (1,q;q,0) it
+    is q_pair.  As the start (1, 1) is swap-invariant, [..., n] and
+    [..., n-1, 1] give the same pair.
     """
     terms = _terms_of(x)
-    p, q, r, s = u.entries()
-    fx, finv = map(_lift, seed) if u.symbolic else seed
-    for _ in range(terms[-1] - 1):
-        fx, finv = p * fx + q * finv, s * fx + r * finv
-    for n in reversed(terms[:-1]):
-        fx, finv = finv, fx
-        for _ in range(n):
-            fx, finv = p * fx + q * finv, s * fx + r * finv
+    symbolic = any(u.symbolic for u in us)
+    fx = finv = RingPoly.constant(1) if symbolic else 1
+    last = len(terms) - 1
+    for i in range(last, -1, -1):
+        a, b, c, d = level(us[i % len(us)], symbolic, terms[i] - (i == last))
+        fx, finv = a * fx + b * finv, c * fx + d * finv
     return FPair(fx, finv)
+
+
+def f_pair(u: UParams, x) -> FPair:
+    """Solve the defining system along the continued fraction of x: the walk
+    from the pair (1, 1) at 1 with the step up by one, (fx, finv) ->
+    (p fx + q finv, s fx + r finv), and the swap that takes x to 1/x."""
+    return walk((u,), x)
 
 
 def quantize(u: UParams, x) -> Fraction | RationalFunction:
@@ -174,14 +184,10 @@ def quantize(u: UParams, x) -> Fraction | RationalFunction:
     symbolic ones.  Raises EvaluationError when f(1/x) vanishes (possible
     for adversarial integer matrices; the deformation is undefined there).
     """
-    pair = f_pair(u, x)
-    if u.symbolic:
-        if pair.finv.is_zero():
-            raise EvaluationError("quantization undefined: f(1/x) = 0")
-        return RationalFunction(pair.fx, pair.finv)
-    if pair.finv == 0:
+    fx, finv = f_pair(u, x)
+    if finv == 0:
         raise EvaluationError("quantization undefined: f(1/x) = 0")
-    return Fraction(pair.fx, pair.finv)
+    return RationalFunction(fx, finv) if u.symbolic else Fraction(fx, finv)
 
 
 def codenominator(x) -> int:
@@ -209,9 +215,9 @@ class SZeroParams:
 
     @classmethod
     def from_matrix(cls, u: UParams) -> "SZeroParams":
-        if not u.s_is_zero:
+        if u.s != 0:
             raise DomainError("formula requires s = 0")
-        if u.r_is_zero:
+        if u.r == 0:
             raise DomainError("formula requires r != 0")
         if u.symbolic:
             return cls(RationalFunction(u.p, u.r), RationalFunction(u.q, u.r))

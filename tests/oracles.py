@@ -1,11 +1,16 @@
-"""Frozen expected values shared across the test suite.
+"""Frozen expected values and independent reference recursions shared
+across the test suite.
 
 Every list here was either verified by hand against its defining recursion
 or produced by an independent derivation (noted next to each constant) and
-cross-checked before freezing.  Coefficient lists are ascending.
+cross-checked before freezing.  Coefficient lists are ascending.  The
+reference recursions at the end compute step by step what the package
+computes from cached level matrices.
 """
 
 from fractions import Fraction
+
+from cfdeform.exactnum import RingPoly
 
 # --- Solution polynomials of the (p,1;1,0) family, f(x) by x -----------------
 # Verified by hand against the defining equations for several rows.
@@ -91,3 +96,35 @@ Q_GOLDEN_SERIES_21 = [
 ]
 
 E_CF_PREFIX_15 = [2, 1, 2, 1, 1, 4, 1, 1, 6, 1, 1, 8, 1, 1, 10]
+
+
+# --- Reference recursions ------------------------------------------------------
+
+
+def step_ascent(u, terms):
+    """The solution pair by single moves: from (1, 1), step up n - 1 times
+    for the last term, then swap and step up n times for each earlier term."""
+    p, q, r, s = u.entries()
+    fx = finv = RingPoly((1,)) if u.symbolic else 1
+    for _ in range(terms[-1] - 1):
+        fx, finv = p * fx + q * finv, s * fx + r * finv
+    for n in reversed(terms[:-1]):
+        fx, finv = finv, fx
+        for _ in range(n):
+            fx, finv = p * fx + q * finv, s * fx + r * finv
+    return fx, finv
+
+
+def classical_convergents(terms):
+    """Deformed (p,1;1,0) convergents by the two-term recursion
+    R_k = [n_k]_p R_(k-1) + p^(n_(k-1)) R_(k-2), and likewise S_k."""
+    r_prev, r_cur = RingPoly((1,)), RingPoly((1,) * terms[0])
+    s_prev, s_cur = RingPoly(), RingPoly((1,))
+    out = [(r_cur, s_cur)]
+    for k in range(1, len(terms)):
+        lift = RingPoly.monomial(terms[k - 1])
+        qk = RingPoly((1,) * terms[k])
+        r_prev, r_cur = r_cur, qk * r_cur + lift * r_prev
+        s_prev, s_cur = s_cur, qk * s_cur + lift * s_prev
+        out.append((r_cur, s_cur))
+    return out

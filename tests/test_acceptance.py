@@ -264,7 +264,10 @@ def test_criterion_6_observation_ledger(tmp_path):
 def _cli(*args, env_extra=None):
     import os
 
+    # The child imports this checkout's package, installed or not.
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     return subprocess.run(

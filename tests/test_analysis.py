@@ -12,6 +12,7 @@ from oracles import (
     GOLDEN_SERIES_20,
     PI_SERIES_40,
     Q_GOLDEN_SERIES_21,
+    classical_convergents,
 )
 
 from cfdeform.analysis import (
@@ -37,6 +38,7 @@ from cfdeform.errors import DomainError, StabilizationError, TermsExhaustedError
 from cfdeform.exactnum import RingPoly, TruncatedSeries, series_of_ratfun
 from cfdeform.qdeform import q_deform_series
 from cfdeform.udeform import (
+    U_CON,
     U_NUM,
     U_RZERO_POLY,
     U_SZERO_POLY,
@@ -79,12 +81,12 @@ def test_bfs_oracle_matches_recursion_symbolic():
 
 def test_convergent_polys_basics():
     pairs = convergent_polys([1, 1])
-    assert pairs[1].numerator == RingPoly([1, 1])
-    assert pairs[1].denominator == RingPoly([1])
+    assert pairs[1].fx == RingPoly([1, 1])
+    assert pairs[1].finv == RingPoly([1])
 
     pairs = convergent_polys([2, 2])
     value = quantize(U_SZERO_POLY, Fraction(5, 2))
-    assert pairs[-1].numerator * value.den == pairs[-1].denominator * value.num
+    assert pairs[-1].fx * value.den == pairs[-1].finv * value.num
 
     pairs = convergent_polys([1, 2, 2])
     det = convergent_determinant(pairs, 2)
@@ -115,14 +117,11 @@ def test_determinant_identity_over_rationals(rationals_ell_10):
 
 
 def test_convergent_recursion_matches_solution_pairs():
-    # Two structurally different computations of the same pair: the two-term
-    # convergent recursion and the move-by-move ascent.
-    e_prefix = [2, 1, 2, 1, 1, 4]
-    pairs = convergent_polys(e_prefix)
-    for k in range(len(e_prefix)):
-        direct = f_pair(U_SZERO_POLY, e_prefix[: k + 1])
-        assert pairs[k].numerator == direct.fx
-        assert pairs[k].denominator == direct.finv
+    # Two structurally different computations of the same pairs: the product
+    # of the walk's level matrices and the classical two-term recursion.
+    for terms in ([2, 1, 2, 1, 1, 4], [0, 3, 1, 4], [1], [5, 64, 1, 2]):
+        assert convergent_polys(terms) == classical_convergents(terms), terms
+    assert convergent_polys([0, 2])[0] == (RingPoly(), RingPoly([1]))
 
 
 def test_golden_series_to_order_ten():
@@ -151,7 +150,7 @@ def test_unstabilized_convergent_tail_differs_from_limit():
     # Expanding one convergent past its guaranteed prefix yields coefficients
     # that later convergents overturn: only the first 10 survive here.
     pair = convergent_polys([1] * 10)[-1]
-    s = series_of_ratfun((pair.numerator, pair.denominator), 19)
+    s = series_of_ratfun(pair, 19)
     assert list(s)[:10] == GOLDEN_SERIES_20[:10]
     assert list(s)[10] != GOLDEN_SERIES_20[10]
 
@@ -188,11 +187,11 @@ def _disagreeing_pairs(terms):
     [
         ("cfdeform.qdeform", "q_pair", _disagreeing_pairs,
          lambda: q_deform_series(StreamingCF.golden(), 5), True),
-        ("cfdeform.analysis", "convergent_polys",
-         lambda terms: [_disagreeing_pairs(terms[:-1]), _disagreeing_pairs(terms)],
+        ("cfdeform.analysis", "f_pair",
+         lambda u, terms: _disagreeing_pairs(terms),
          lambda: irrational_series(StreamingCF.golden(), U_SZERO_POLY, 5), True),
-        ("cfdeform.analysis", "convergent_polys",
-         lambda terms: [_disagreeing_pairs(terms[:-1]), _disagreeing_pairs(terms)],
+        ("cfdeform.analysis", "f_pair",
+         lambda u, terms: _disagreeing_pairs(terms),
          lambda: irrational_series(StreamingCF.periodic([0], [1]), U_SZERO_POLY, 5), False),
         ("cfdeform.analysis", "f_pair",
          lambda u, terms: _disagreeing_pairs(terms),
@@ -428,6 +427,13 @@ def test_parallel_sweep_cancels_queued_chunks(monkeypatch, inline_pool):
     first_bad = max(i for i, f in enumerate(futures) if f.ran)
     assert first_bad < len(futures) - 1
     assert all(f.cancelled for f in futures[first_bad + 1 :])
+
+
+@pytest.mark.parametrize("name", ["oracle-equivalence", "defining-equations", "involution"])
+def test_sweep_needs_positive_max_ell(name):
+    for max_ell in (0, -1):
+        with pytest.raises(DomainError):
+            run_property_sweep(name, U_CON, max_ell)
 
 
 def test_symbolic_sweeps_reject_integer_matrix():

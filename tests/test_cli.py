@@ -18,9 +18,13 @@ from oracles import (
 
 from cfdeform.udeform import j_quotient
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 
 def run_cli(*args, env_extra=None):
+    # The child imports this checkout's package, installed or not.
     env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
     proc = subprocess.run(
@@ -220,6 +224,20 @@ def test_max_order_env_must_be_nonnegative_integer():
         assert code == 1 and out == b""
         assert b"Traceback" not in err and err.count(b"\n") == 1
         assert b"UDEFORM_MAX_ORDER" in err
+
+
+@pytest.mark.parametrize(
+    "max_ell, message",
+    [("-1", b"at least 1"), ("0", b"at least 1"), ("21", b"max-ell 21 exceeds the cap 20")],
+)
+def test_max_ell_outside_one_to_twenty_is_refused(max_ell, message):
+    # Before, -1 gave a false "violated" oracle-equivalence report and 0 a
+    # vacuous "holds"; above 20 the enumeration outgrows memory.
+    for name in ("oracle-equivalence", "involution"):
+        code, out, err = run_cli("check", "--property", name, "--max-ell", max_ell)
+        assert code == 1 and out == b""
+        assert b"Traceback" not in err and err.count(b"\n") == 1
+        assert message in err
 
 
 def test_byte_determinism():

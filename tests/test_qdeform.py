@@ -14,7 +14,7 @@ from oracles import (
 from cfdeform.contfrac import StreamingCF, cf_expand, cf_value
 from cfdeform.errors import TermsExhaustedError
 from cfdeform.exactnum import RationalFunction, RingPoly
-from cfdeform.qdeform import even_length_terms, q_deform, q_deform_series, q_int, q_pair
+from cfdeform.qdeform import q_deform, q_deform_series, q_int, q_pair
 
 Q = RingPoly.variable()
 
@@ -35,12 +35,6 @@ def test_q_int_inverse_identity():
         plain = q_int(a)
         inv = q_int(a, inverse=True)
         assert inv * RationalFunction(Q ** (a - 1), 1) == plain
-
-
-def test_even_length_rewrite():
-    assert even_length_terms([1, 2, 2]) == (1, 2, 1, 1)
-    assert even_length_terms([2, 2]) == (2, 2)
-    assert even_length_terms([1]) == (0, 1)
 
 
 def test_deform_displays():

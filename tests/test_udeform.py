@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     QUANT_7_5,
@@ -8,11 +9,13 @@ from oracles import (
     RZERO_17_2_DEN,
     RZERO_TABLE,
     SZERO_TABLE,
+    step_ascent,
 )
 
 from cfdeform.contfrac import cf_expand, ell
 from cfdeform.errors import DegenerateParametersError, DomainError, EvaluationError
 from cfdeform.exactnum import RationalFunction, RingPoly
+from cfdeform.qdeform import q_pair
 from cfdeform.udeform import (
     U_CON,
     U_NUM,
@@ -25,10 +28,12 @@ from cfdeform.udeform import (
     golden_closed_form,
     golden_iterate,
     j_quotient,
+    level,
     quantize,
     rzero_descending_cf,
     shift_by_integer,
     szero_cf_form,
+    walk,
 )
 
 P = RingPoly.variable()
@@ -76,13 +81,70 @@ def test_representation_independence():
         assert f_pair(u, [1, 2, 1, 1]) == f_pair(u, Fraction(7, 5))
 
 
-def test_seed_linearity():
-    for u in ALL_MATRICES:
-        x = Fraction(19, 12)
-        base = f_pair(u, x)
-        tripled = f_pair(u, x, seed=(3, 3))
-        assert tripled.fx == 3 * base.fx
-        assert tripled.finv == 3 * base.finv
+C = RingPoly.constant
+WALK_MATRICES = [
+    U_NUM,
+    UParams(2, -3, 1, 1),
+    U_SZERO_POLY,
+    U_RZERO_POLY,
+    UParams(C(2), C(1), C(-1), C(3)),
+]
+
+
+@pytest.mark.parametrize("u", WALK_MATRICES, ids=str)
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 292, 1000])
+def test_walk_matches_step_ascent_on_single_terms(u, n):
+    assert f_pair(u, [n]) == step_ascent(u, [n])
+
+
+@pytest.mark.parametrize("u", WALK_MATRICES, ids=str)
+def test_walk_matches_step_ascent_on_mixed_expansions(u):
+    for terms in ([0, 1], [0, 3, 1, 4], [3, 7, 15, 1, 292], [2, 1, 2, 1, 1, 4, 1, 1, 6],
+                  [1] * 20, [64, 1, 65, 2], [5, 3, 1]):
+        assert f_pair(u, terms) == step_ascent(u, terms), terms
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=6),
+    st.lists(st.integers(min_value=1, max_value=9), max_size=8),
+    st.integers(min_value=2, max_value=12),
+    st.booleans(),
+)
+def test_walk_ignores_trailing_one_rewrite(n0, middle, n, single):
+    # [..., n] and [..., n-1, 1] are the same rational, of odd and even
+    # length in turn; both pair functions take either directly.
+    head = () if single else (n0, *middle)
+    terms, rewritten = (*head, n), (*head, n - 1, 1)
+    assert f_pair(U_SZERO_POLY, terms) == f_pair(U_SZERO_POLY, rewritten)
+    assert f_pair(UParams(2, 3, 1, 1), terms) == f_pair(UParams(2, 3, 1, 1), rewritten)
+    assert q_pair(terms) == q_pair(rewritten)
+
+
+def test_level_cache_keeps_integer_and_symbolic_apart():
+    # The constant-RingPoly matrix equals the integer one and hashes alike,
+    # yet it must compute in RingPoly; whichever runs first fills the cache.
+    constant_one = UParams(C(1), 1, 1, 0)
+    assert constant_one == U_NUM and hash(constant_one) == hash(U_NUM)
+    x = Fraction(17, 31)
+    for first, second in ((U_NUM, constant_one), (constant_one, U_NUM)):
+        level.cache_clear()
+        f_pair(first, x)
+        pair = f_pair(second, x)
+        kind = RingPoly if second.symbolic else int
+        assert all(type(v) is kind for v in pair), (first, pair)
+        assert pair == (17, 31)
+
+
+@pytest.mark.parametrize("terms", [(), (0,), (2, 0), (-1,)])
+def test_walk_rejects_invalid_terms_before_any_level(terms):
+    before = level.cache_info()
+    for call in (lambda: f_pair(U_SZERO_POLY, terms), lambda: f_pair(U_NUM, list(terms)),
+                 lambda: q_pair(terms), lambda: walk((U_NUM, U_CON), terms)):
+        with pytest.raises(DomainError):
+            call()
+    after = level.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_defining_equations_sweep(rationals_ell_10):
