@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .contfrac import CFExpansion, StreamingCF, cf_expand, cf_value, j_rewrite, stabilized_series
 from .errors import DomainError
@@ -47,6 +47,7 @@ __all__ = [
     "match_reference",
     "e_series_parity_report",
     "observation_report",
+    "PROPERTIES",
     "PROPERTY_NAMES",
     "OBSERVATION_PROPERTIES",
     "run_property_sweep",
@@ -374,26 +375,6 @@ def e_series_parity_report(order: int = 38) -> PropertyReport:
 # ---------------------------------------------------------------------------
 # Bounded sweeps (the check harness)
 
-PROPERTY_NAMES = (
-    "defining-equations",
-    "integrality",
-    "unimodality",
-    "anti-unimodality",
-    "alternation",
-    "stabilization",
-    "involution",
-    "oracle-equivalence",
-)
-
-# Empirical observations: reported, never asserted, exit code stays zero.
-OBSERVATION_PROPERTIES = frozenset({"unimodality", "anti-unimodality", "alternation"})
-
-# Properties of polynomial coefficients, meaningless for an integer matrix.
-_SYMBOLIC_PROPERTIES = OBSERVATION_PROPERTIES | {"integrality"}
-
-# Properties stated for one matrix only; any other matrix is refused.
-_FIXED_MATRIX = {"stabilization": U_SZERO_POLY, "involution": U_CON}
-
 
 def _px_defining_equations(u: UParams, x: Fraction, order: int) -> dict | None:
     p, q, r, s = u.entries()
@@ -467,21 +448,35 @@ def _px_involution(u: UParams, x: Fraction, order: int) -> dict | None:
     return None
 
 
-_PER_X_CHECKS: dict[str, Callable[[UParams, Fraction, int], dict | None]] = {
-    "defining-equations": _px_defining_equations,
-    "integrality": _px_integrality,
-    "unimodality": _px_unimodality,
-    "anti-unimodality": _px_anti_unimodality,
-    "alternation": _px_alternation,
-    "stabilization": _px_stabilization,
-    "involution": _px_involution,
+class _Property(NamedTuple):
+    """One row of the sweep table."""
+
+    check: Callable[[UParams, Fraction, int], dict | None] | None  # None: whole-table sweep
+    u: UParams  # the default matrix
+    matrix: str  # what the sweep asks of a matrix: "any", "symbolic" or "fixed" (only u)
+    observation: bool  # empirical: reported, never asserted, exit code stays zero
+    reports_order: bool  # the report's details carry the series order
+
+
+PROPERTIES: dict[str, _Property] = {
+    "defining-equations": _Property(_px_defining_equations, U_SZERO_POLY, "any", False, False),
+    "integrality": _Property(_px_integrality, U_SZERO_POLY, "symbolic", False, True),
+    "unimodality": _Property(_px_unimodality, U_SZERO_POLY, "symbolic", True, False),
+    "anti-unimodality": _Property(_px_anti_unimodality, U_RZERO_POLY, "symbolic", True, False),
+    "alternation": _Property(_px_alternation, U_SZERO_POLY, "symbolic", True, True),
+    "stabilization": _Property(_px_stabilization, U_SZERO_POLY, "fixed", False, False),
+    "involution": _Property(_px_involution, U_CON, "fixed", False, False),
+    "oracle-equivalence": _Property(None, U_SZERO_POLY, "any", False, False),
 }
+
+PROPERTY_NAMES = tuple(PROPERTIES)
+OBSERVATION_PROPERTIES = frozenset(name for name, row in PROPERTIES.items() if row.observation)
 
 
 def _chunk_worker(
     name: str, u: UParams, xs: list[Fraction], order: int
 ) -> tuple[int, dict | None]:
-    check = _PER_X_CHECKS[name]
+    check = PROPERTIES[name].check
     count = 0
     for x in xs:
         violation = check(u, x, order)
@@ -527,14 +522,15 @@ def run_property_sweep(
     """
     if max_ell < 1:
         raise DomainError(f"max_ell must be at least 1, got {max_ell}")
-    if name == "oracle-equivalence":
-        return sweep_oracle_equivalence(u, max_ell)
-    if name not in _PER_X_CHECKS:
+    row = PROPERTIES.get(name)
+    if row is None:
         raise DomainError(f"unknown property {name!r}")
-    if name in _SYMBOLIC_PROPERTIES and not u.symbolic:
+    if row.matrix == "symbolic" and not u.symbolic:
         raise DomainError(f"the {name} sweep needs a symbolic matrix, e.g. p,1,1,0")
-    if name in _FIXED_MATRIX and u != _FIXED_MATRIX[name]:
-        raise DomainError(f"the {name} sweep is stated for {_FIXED_MATRIX[name]} only, not {u}")
+    if row.matrix == "fixed" and u != row.u:
+        raise DomainError(f"the {name} sweep is stated for {row.u} only, not {u}")
+    if row.check is None:
+        return sweep_oracle_equivalence(u, max_ell)
     xs = [x for x, _ in enumerate_rationals(max_ell)]
     violation: dict | None = None
     tested = 0
@@ -558,7 +554,7 @@ def run_property_sweep(
                         queued.cancel()
                     break
     details = {"max_ell": max_ell, "u": str(u)}
-    if name in ("integrality", "alternation"):
+    if row.reports_order:
         details["order"] = order
     return PropertyReport(name, violation is None, violation, tested, details)
 
@@ -569,13 +565,10 @@ def observation_report(max_ell: int = 12, order: int = 20) -> dict:
     Counterexamples recorded here are findings about the observations, not
     failures of the implementation; each one re-verifies in isolation.
     """
-    return {
-        "unimodality": run_property_sweep("unimodality", U_SZERO_POLY, max_ell).as_dict(),
-        "anti_unimodality": run_property_sweep(
-            "anti-unimodality", U_RZERO_POLY, max_ell
-        ).as_dict(),
-        "sign_alternation": run_property_sweep(
-            "alternation", U_SZERO_POLY, max_ell, order
-        ).as_dict(),
-        "e_series_parity": e_series_parity_report().as_dict(),
-    }
+    ledger = {}
+    for name, row in PROPERTIES.items():
+        if row.observation:
+            key = "sign_alternation" if name == "alternation" else name.replace("-", "_")
+            ledger[key] = run_property_sweep(name, row.u, max_ell, order).as_dict()
+    ledger["e_series_parity"] = e_series_parity_report().as_dict()
+    return ledger

@@ -100,10 +100,7 @@ def cf_expand(x) -> CFExpansion:
         q, r = divmod(num, den)
         terms.append(q)
         num, den = den, r
-    if len(terms) > 1 and terms[-1] == 1:
-        # The Euclidean tail [., m, 1] collapses to [., m+1].
-        terms = terms[:-2] + [terms[-2] + 1]
-    return CFExpansion(tuple(terms))
+    return CFExpansion(canonicalize_terms(terms))
 
 
 def cf_value(cf: CFExpansion | Sequence[int]) -> Fraction:
@@ -114,8 +111,6 @@ def cf_value(cf: CFExpansion | Sequence[int]) -> Fraction:
     num, den = 1, 0
     for t in reversed(terms):
         num, den = t * num + den, num
-    if den == 0:
-        raise DomainError("continued fraction does not terminate at a rational")
     return Fraction(num, den)
 
 

@@ -15,6 +15,17 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+__all__ = [
+    "RingPoly",
+    "format_terms",
+    "poly_content",
+    "poly_divexact",
+    "poly_gcd",
+    "RationalFunction",
+    "TruncatedSeries",
+    "series_of_ratfun",
+]
+
 
 def _trim(coeffs: list[int]) -> tuple[int, ...]:
     end = len(coeffs)
@@ -515,19 +526,12 @@ def series_of_ratfun(f, order: int) -> TruncatedSeries:
     if d0 == 0:
         raise ZeroDivisionError("no Taylor expansion at origin")
     ncs, dcs = num.coeffs, den.coeffs
-    if d0 in (1, -1):
-        # Unit constant term: the recurrence stays in the integers.
-        out: list = []
-        for n in range(order + 1):
-            acc = ncs[n] if n < len(ncs) else 0
-            for j in range(1, min(n, len(dcs) - 1) + 1):
-                acc -= dcs[j] * out[n - j]
-            out.append(acc * d0)
-        return TruncatedSeries(out)
-    out = []
+    # A unit constant term is its own inverse and keeps integer series in ints.
+    inverse = d0 if d0 in (1, -1) else Fraction(1, d0)
+    out: list = []
     for n in range(order + 1):
-        acc = Fraction(ncs[n] if n < len(ncs) else 0)
+        acc = ncs[n] if n < len(ncs) else 0
         for j in range(1, min(n, len(dcs) - 1) + 1):
             acc -= dcs[j] * out[n - j]
-        out.append(acc / d0)
+        out.append(acc * inverse)
     return TruncatedSeries(out)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     E_SERIES_40,
@@ -16,7 +19,9 @@ from oracles import (
     Q_19_31_SERIES,
 )
 
-from cfdeform.udeform import j_quotient
+from cfdeform.analysis import PROPERTIES
+from cfdeform.cli import MAX_TERM_SUM, main
+from cfdeform.udeform import UParams, f_pair, j_quotient
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -291,3 +296,111 @@ def test_document_roundtrip_recompute():
 
     recomputed = q_deform_series(parse_rational(doc["input"]["x"]), doc["input"]["order"])
     assert doc["result"]["coefficients"] == [str(c) for c in recomputed]
+
+
+@pytest.fixture
+def unlimited_int_digits():
+    # CPython 3.11+ refuses int-to-str past 4300 digits unless lifted.
+    if not hasattr(sys, "get_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_eval_prints_answers_past_the_int_digit_limit(unlimited_int_digits):
+    fx = str(f_pair(UParams(1000, 1, 1, 0), 1500).fx)
+    assert len(fx) > 4300
+    doc = run_json("eval", "--u", "1000,1,1,0", "--x", "1500")
+    assert doc["result"]["fx"] == [fx]
+    code, out, err = run_cli("eval", "--u", "1000,1,1,0", "--x", "1500")
+    assert code == 0 and err == b""
+    assert f"f(x)   = {fx}\n".encode() in out
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("eval", "--u", "p,1,1,0", "--x", "2001"),
+        ("series", "--u", "p,1,0,1", "--x", "2001", "--order", "3"),
+        ("qseries", "--x", "1/2001", "--order", "3"),
+        ("compare", "--x", "2001", "--order", "3"),
+        ("cf", "--j", "2001"),
+    ],
+    ids=lambda args: args[0],
+)
+def test_inputs_past_the_term_sum_cap_are_refused(args):
+    code, out, err = run_cli(*args)
+    assert code == 1 and out == b""
+    assert err == f"cfdeform: term sum 2001 exceeds the cap {MAX_TERM_SUM}\n".encode()
+
+
+def test_term_sum_at_the_cap_is_accepted():
+    doc = run_json("cf", "--j", "2000")
+    assert doc["result"]["ell"] == MAX_TERM_SUM
+    doc = run_json("cf", "--x", "4000")  # expansion alone is not capped
+    assert doc["result"]["ell"] == 4000
+
+
+def _main(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def test_check_defaults_come_from_the_property_table():
+    for name, row in PROPERTIES.items():
+        code, out = _main(["check", "--property", name, "--max-ell", "3", "--format", "json"])
+        doc = json.loads(out)
+        assert UParams.parse(doc["input"]["u"]) == row.u
+        if row.check is not None:  # the whole-table sweep reports no details
+            details = doc["result"]["details"]
+            assert details["u"] == str(row.u)
+            assert ("order" in details) == row.reports_order
+        assert code == (0 if doc["result"]["holds"] or row.observation else 1)
+
+
+def _flag(name, values):
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+_INTS = st.integers(-3, 30).map(str)
+_RATIONALS = st.one_of(
+    st.sampled_from(["1", "7/5", "19/31", "2000", "1/2001", "0", "-3", "abc", "1/0", "2.5", ""]),
+    st.builds("{}/{}".format, st.integers(-2, 40), st.integers(-2, 40)),
+)
+_U = st.sampled_from(
+    ["p,1,1,0", "p,1,0,1", "1,1,0,1", "1,1,1,0", "2,-3,1,1", "1,1,2,2", "0,0,0,0",
+     "p,p,1,0", "p,1", "a,b,c,d", "", "p,1,1,0,0"]
+)
+_ORDER = st.one_of(_INTS, st.sampled_from(["201", "x", ""]))
+_MAX_ELL = st.sampled_from(["-1", "0", "1", "3", "5", "21", "x"])
+_FORMAT = _flag("--format", st.sampled_from(["text", "json", "latex", "xml"]))
+_SOURCE = st.one_of(
+    _flag("--x", _RATIONALS), _flag("--const", st.sampled_from(["e", "pi", "golden", "tau"]))
+)
+_ARGV = st.one_of(
+    st.tuples(st.just(["eval"]), _flag("--u", _U), _flag("--x", _RATIONALS), _FORMAT),
+    st.tuples(st.just(["series"]), _flag("--u", _U), _SOURCE, _flag("--order", _ORDER),
+              st.sampled_from([[], ["--heuristic"]]), _FORMAT),
+    st.tuples(st.just(["qseries"]), _SOURCE, _flag("--order", _ORDER), _FORMAT),
+    st.tuples(st.just(["compare"]), _flag("--x", _RATIONALS), _flag("--order", _ORDER), _FORMAT),
+    st.tuples(st.just(["check"]),
+              _flag("--property", st.sampled_from([*PROPERTIES, "no-such-thing"])),
+              _flag("--u", _U), _flag("--max-ell", _MAX_ELL), _flag("--order", _ORDER), _FORMAT),
+    st.tuples(st.just(["cf"]), st.one_of(_flag("--x", _RATIONALS), _flag("--j", _RATIONALS)),
+              _FORMAT),
+    st.sampled_from([(["--version"],), ([],), (["bogus"],)]),
+).map(lambda parts: [arg for part in parts for arg in part])
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_ARGV)
+def test_every_invocation_exits_with_a_documented_code(argv):
+    code, _ = _main(argv)
+    assert code in (0, 1, 2, 3), argv
