@@ -10,16 +10,19 @@ but never asserted).
 
 from __future__ import annotations
 
+import collections
+import itertools
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .contfrac import CFExpansion, StreamingCF, cf_expand, cf_value, j_rewrite, stabilized_series
 from .errors import DomainError
 from .exactnum import RingPoly, TruncatedSeries, series_of_ratfun
 from .udeform import (
     U_CON,
+    U_NUM,
     U_RZERO_POLY,
     U_SZERO_POLY,
     FPair,
@@ -118,56 +121,43 @@ class PropertyReport:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration and the breadth-first oracle
+# The breadth-first walk: enumeration, oracle and the sweeps' inputs
+
+
+def _walk(u: UParams, max_ell: int) -> Iterator[list[tuple[Fraction, FPair]]]:
+    """The rationals of term sum 1, 2, ..., max_ell with their pairs, one
+    depth at a time: the orbit of 1 under x -> 1+x and x -> x/(1+x), with the
+    pair carried by update rules read directly off the defining equations,
+    independently of f_pair.  Each rational is reached once, at the depth of
+    its term sum; no more than two depths are alive at a time.
+    """
+    if max_ell < 1:
+        return
+    p, q, r, s = u.entries()
+    one = RingPoly.constant(1) if u.symbolic else 1
+    depth = [(Fraction(1), FPair(one, one))]
+    yield depth
+    for _ in range(max_ell - 1):
+        nxt = []
+        for x, (fx, finv) in depth:
+            up = 1 + x
+            nxt.append((up, FPair(p * fx + q * finv, s * fx + r * finv)))
+            nxt.append((x / up, FPair(r * fx + s * finv, q * fx + p * finv)))
+        depth = nxt
+        yield depth
 
 
 def enumerate_rationals(max_ell: int) -> list[tuple[Fraction, int]]:
-    """All positive rationals with term sum at most ``max_ell``.
-
-    Generated breadth-first from 1 with the two moves x -> 1+x and
-    x -> x/(1+x); each rational appears exactly once, in deterministic
-    order, 2**max_ell - 1 of them in total.
-    """
-    if max_ell < 1:
-        return []
-    out = [(Fraction(1), 1)]
-    level = [Fraction(1)]
-    for depth in range(2, max_ell + 1):
-        nxt = []
-        for x in level:
-            nxt.append(1 + x)
-            nxt.append(x / (1 + x))
-        out.extend((x, depth) for x in nxt)
-        level = nxt
-    return out
+    """All positive rationals with term sum at most ``max_ell``, each with
+    its term sum, in the breadth-first order of the walk from 1: 2**max_ell - 1
+    of them in total."""
+    return [(x, d) for d, depth in enumerate(_walk(U_NUM, max_ell), 1) for x, _ in depth]
 
 
 def bfs_oracle(u: UParams, max_ell: int) -> dict[Fraction, FPair]:
-    """Forward-generate the solution table, independently of f_pair.
-
-    Walks the orbit of 1 under the two moves, carrying the value pair along
-    with the update rules read directly off the defining equations.  Serves
-    as the independent oracle for the continued-fraction-based recursion.
-    """
-    if max_ell < 1:
-        return {}
-    p, q, r, s = u.entries()
-    one = RingPoly.constant(1) if u.symbolic else 1
-    table: dict[Fraction, FPair] = {Fraction(1): FPair(one, one)}
-    level = [(Fraction(1), one, one)]
-    for _ in range(max_ell - 1):
-        nxt = []
-        for x, fx, finv in level:
-            up = 1 + x
-            upx, upinv = p * fx + q * finv, s * fx + r * finv
-            down = x / (1 + x)
-            dnx, dninv = r * fx + s * finv, q * fx + p * finv
-            table[up] = FPair(upx, upinv)
-            table[down] = FPair(dnx, dninv)
-            nxt.append((up, upx, upinv))
-            nxt.append((down, dnx, dninv))
-        level = nxt
-    return table
+    """The solution table over term sum at most ``max_ell``, forward-generated
+    from the defining equations: the independent oracle for f_pair."""
+    return {x: pair for depth in _walk(u, max_ell) for x, pair in depth}
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +366,8 @@ def e_series_parity_report(order: int = 38) -> PropertyReport:
 # Bounded sweeps (the check harness)
 
 
-def _px_defining_equations(u: UParams, x: Fraction, order: int) -> dict | None:
+def _px_defining_equations(u: UParams, x: Fraction, pair: FPair, order: int) -> dict | None:
+    # Checks f_pair against its own values, so the walk's pair is not used.
     p, q, r, s = u.entries()
     fx, finv = f_pair(u, x)
     up = f_pair(u, 1 + x)
@@ -391,25 +382,23 @@ def _px_defining_equations(u: UParams, x: Fraction, order: int) -> dict | None:
     return None
 
 
-def _px_integrality(u: UParams, x: Fraction, order: int) -> dict | None:
-    ok, index = series_of_ratfun(f_pair(u, x), order).is_integral()
+def _px_integrality(u: UParams, x: Fraction, pair: FPair, order: int) -> dict | None:
+    ok, index = series_of_ratfun(pair, order).is_integral()
     if not ok:
         return {"x": str(x), "index": index}
     return None
 
 
-def _px_unimodality(u: UParams, x: Fraction, order: int) -> dict | None:
-    report = check_unimodality(f_pair(u, x).fx, subject=x)
-    return report.counterexample
+def _px_unimodality(u: UParams, x: Fraction, pair: FPair, order: int) -> dict | None:
+    return check_unimodality(pair.fx, subject=x).counterexample
 
 
-def _px_anti_unimodality(u: UParams, x: Fraction, order: int) -> dict | None:
-    report = check_anti_unimodality(f_pair(u, x).fx, subject=x)
-    return report.counterexample
+def _px_anti_unimodality(u: UParams, x: Fraction, pair: FPair, order: int) -> dict | None:
+    return check_anti_unimodality(pair.fx, subject=x).counterexample
 
 
-def _px_alternation(u: UParams, x: Fraction, order: int) -> dict | None:
-    report = check_sign_alternation(series_of_ratfun(f_pair(u, x), order), subject=x)
+def _px_alternation(u: UParams, x: Fraction, pair: FPair, order: int) -> dict | None:
+    report = check_sign_alternation(series_of_ratfun(pair, order), subject=x)
     if not report.holds:
         out = dict(report.counterexample)
         if "zero_indices" in report.details:
@@ -418,12 +407,12 @@ def _px_alternation(u: UParams, x: Fraction, order: int) -> dict | None:
     return None
 
 
-def _px_stabilization(u: UParams, x: Fraction, order: int) -> dict | None:
+def _px_stabilization(u: UParams, x: Fraction, pair: FPair, order: int) -> dict | None:
     terms = cf_expand(x).terms
     if terms[0] == 0 or len(terms) < 2:
         return None
     expand_to = sum(terms) + 2
-    series = [series_of_ratfun(pair, expand_to) for pair in convergent_polys(terms)]
+    series = [series_of_ratfun(prefix, expand_to) for prefix in convergent_polys(terms)]
     for k in range(1, len(terms)):
         depth = series[k - 1].agreement(series[k])
         bound = sum(terms[:k])
@@ -432,7 +421,7 @@ def _px_stabilization(u: UParams, x: Fraction, order: int) -> dict | None:
     return None
 
 
-def _px_involution(u: UParams, x: Fraction, order: int) -> dict | None:
+def _px_involution(u: UParams, x: Fraction, pair: FPair, order: int) -> dict | None:
     image = j_quotient(x)
     if j_quotient(image) != x:
         return {"x": str(x), "kind": "quotient-involution"}
@@ -448,80 +437,61 @@ def _px_involution(u: UParams, x: Fraction, order: int) -> dict | None:
     return None
 
 
+def _px_oracle_equivalence(u: UParams, x: Fraction, pair: FPair, order: int) -> dict | None:
+    return None if f_pair(u, x) == pair else {"x": str(x)}
+
+
 class _Property(NamedTuple):
     """One row of the sweep table."""
 
-    check: Callable[[UParams, Fraction, int], dict | None] | None  # None: whole-table sweep
+    check: Callable[[UParams, Fraction, FPair, int], dict | None]  # (u, x, walk's pair, order)
     u: UParams  # the default matrix
     matrix: str  # what the sweep asks of a matrix: "any", "symbolic" or "fixed" (only u)
     observation: bool  # empirical: reported, never asserted, exit code stays zero
-    reports_order: bool  # the report's details carry the series order
+    details: tuple[str, ...]  # the keys the report's details carry, in order
 
 
+_SWEPT = ("max_ell", "u")
 PROPERTIES: dict[str, _Property] = {
-    "defining-equations": _Property(_px_defining_equations, U_SZERO_POLY, "any", False, False),
-    "integrality": _Property(_px_integrality, U_SZERO_POLY, "symbolic", False, True),
-    "unimodality": _Property(_px_unimodality, U_SZERO_POLY, "symbolic", True, False),
-    "anti-unimodality": _Property(_px_anti_unimodality, U_RZERO_POLY, "symbolic", True, False),
-    "alternation": _Property(_px_alternation, U_SZERO_POLY, "symbolic", True, True),
-    "stabilization": _Property(_px_stabilization, U_SZERO_POLY, "fixed", False, False),
-    "involution": _Property(_px_involution, U_CON, "fixed", False, False),
-    "oracle-equivalence": _Property(None, U_SZERO_POLY, "any", False, False),
+    "defining-equations": _Property(_px_defining_equations, U_SZERO_POLY, "any", False, _SWEPT),
+    "integrality": _Property(_px_integrality, U_SZERO_POLY, "symbolic", False, (*_SWEPT, "order")),
+    "unimodality": _Property(_px_unimodality, U_SZERO_POLY, "symbolic", True, _SWEPT),
+    "anti-unimodality": _Property(_px_anti_unimodality, U_RZERO_POLY, "symbolic", True, _SWEPT),
+    "alternation": _Property(_px_alternation, U_SZERO_POLY, "symbolic", True, (*_SWEPT, "order")),
+    "stabilization": _Property(_px_stabilization, U_SZERO_POLY, "fixed", False, _SWEPT),
+    "involution": _Property(_px_involution, U_CON, "fixed", False, _SWEPT),
+    "oracle-equivalence": _Property(_px_oracle_equivalence, U_SZERO_POLY, "any", False, ()),
 }
 
 PROPERTY_NAMES = tuple(PROPERTIES)
 OBSERVATION_PROPERTIES = frozenset(name for name, row in PROPERTIES.items() if row.observation)
 
 
-def _chunk_worker(
-    name: str, u: UParams, xs: list[Fraction], order: int
-) -> tuple[int, dict | None]:
+def _chunk_worker(name: str, u: UParams, items: Iterable, order: int) -> tuple[int, dict | None]:
     check = PROPERTIES[name].check
     count = 0
-    for x in xs:
-        violation = check(u, x, order)
+    for x, pair in items:
         count += 1
+        violation = check(u, x, pair, order)
         if violation is not None:
             return count, violation
     return count, None
 
 
-def sweep_oracle_equivalence(u: UParams, max_ell: int) -> PropertyReport:
-    """Compare the breadth-first table against the recursion, value by value."""
-    table = bfs_oracle(u, max_ell)
-    expected_size = 2**max_ell - 1
-    if len(table) != expected_size:
-        return PropertyReport(
-            "oracle-equivalence",
-            False,
-            {"kind": "table-size", "size": len(table), "expected": expected_size},
-            len(table),
-        )
-    for x, pair in table.items():
-        direct = f_pair(u, x)
-        if direct != pair:
-            return PropertyReport(
-                "oracle-equivalence", False, {"x": str(x)}, len(table)
-            )
-    return PropertyReport("oracle-equivalence", True, None, len(table))
-
-
 def run_property_sweep(
-    name: str,
-    u: UParams,
-    max_ell: int,
-    order: int = 20,
-    jobs: int = 1,
+    name: str, u: UParams, max_ell: int, order: int = 20, jobs: int = 1
 ) -> PropertyReport:
     """Run one named property over every rational with bounded term sum.
 
-    Results are independent of ``jobs``: the input space is partitioned in
-    enumeration order and the first counterexample in that order is kept.
-    ``oracle-equivalence`` always runs in a single pass (the table is the
-    point of it).
+    The inputs and their pairs come from one breadth-first walk (see
+    ``bfs_oracle``).  Results are independent of ``jobs``: the workers take
+    the walk's depths in slices, a bounded number at a time, and the first
+    counterexample in walk order is kept.
     """
     if max_ell < 1:
         raise DomainError(f"max_ell must be at least 1, got {max_ell}")
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
     row = PROPERTIES.get(name)
     if row is None:
         raise DomainError(f"unknown property {name!r}")
@@ -529,33 +499,32 @@ def run_property_sweep(
         raise DomainError(f"the {name} sweep needs a symbolic matrix, e.g. p,1,1,0")
     if row.matrix == "fixed" and u != row.u:
         raise DomainError(f"the {name} sweep is stated for {row.u} only, not {u}")
-    if row.check is None:
-        return sweep_oracle_equivalence(u, max_ell)
-    xs = [x for x, _ in enumerate_rationals(max_ell)]
-    violation: dict | None = None
-    tested = 0
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers <= 1 or len(xs) < 2:
-        tested, violation = _chunk_worker(name, u, xs, order)
+    total = 2**max_ell - 1
+    workers = min(jobs, os.cpu_count() or 1, total)
+    if workers <= 1:
+        inputs = itertools.chain.from_iterable(_walk(u, max_ell))
+        tested, violation = _chunk_worker(name, u, inputs, order)
     else:
         # Imported here: the pool drags in logging, which serial runs never need.
         import concurrent.futures
 
-        chunk_size = -(-len(xs) // (workers * 4))
-        chunks = [xs[i : i + chunk_size] for i in range(0, len(xs), chunk_size)]
-        workers = min(workers, len(chunks))
+        # Four tasks per worker, of at most 1024 inputs: a queued task is a pickled copy.
+        size = min(-(-total // (workers * 4)), 1024)
+        chunks = (d[i : i + size] for d in _walk(u, max_ell) for i in range(0, len(d), size))
+        queued = collections.deque()
+        tested, violation = 0, None
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_chunk_worker, name, u, chunk, order) for chunk in chunks]
-            for future in futures:
-                count, violation = future.result()
-                tested += count
-                if violation is not None:
-                    for queued in futures:
-                        queued.cancel()
+            while violation is None:
+                for chunk in itertools.islice(chunks, 2 * workers - len(queued)):
+                    queued.append(pool.submit(_chunk_worker, name, u, chunk, order))
+                if not queued:
                     break
-    details = {"max_ell": max_ell, "u": str(u)}
-    if row.reports_order:
-        details["order"] = order
+                count, violation = queued.popleft().result()
+                tested += count
+            for future in queued:
+                future.cancel()
+    known = {"max_ell": max_ell, "u": str(u), "order": order}
+    details = {key: known[key] for key in row.details}
     return PropertyReport(name, violation is None, violation, tested, details)
 
 

@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from . import __version__
 from .analysis import PROPERTIES, PROPERTY_NAMES, irrational_series, run_property_sweep
-from .contfrac import StreamingCF, cf_expand, cf_value, ell, format_cf, j_rewrite, parse_rational
+from .contfrac import StreamingCF, cf_expand, cf_value, format_cf, j_rewrite, parse_rational
 from .errors import (
     DegenerateParametersError,
     DomainError,
@@ -41,7 +41,8 @@ from .udeform import U_RZERO_POLY, U_SZERO_POLY, UParams, f_pair, j_quotient, qu
 
 MAX_ORDER_ENV = "UDEFORM_MAX_ORDER"
 DEFAULT_MAX_ORDER = 200
-# Sweeps enumerate 2^max_ell - 1 rationals, about 150 bytes each: 200 MB at 20.
+# A sweep holds two depths of its walk, inputs with their pairs: 448 MB at 20 under
+# (p,1;1,0), where a list of all inputs takes 210 MB and a table of all pairs 578 MB.
 MAX_SWEEP_ELL = 20
 # Rational inputs: cost grows superlinearly with the term sum; at the cap,
 # eval under (p,1;0,1) takes about 2.6 s on a 2-vCPU machine.
@@ -54,10 +55,10 @@ EXIT_STABILIZATION = 3
 
 
 class _Parser(argparse.ArgumentParser):
-    # argparse exits with status 2 on usage errors; the contract wants 1.
+    # argparse prints a usage block and exits with status 2 on usage errors;
+    # the contract wants one line and status 1.  prog names the subcommand.
     def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        print(f"{self.prog.replace(' ', ': ')}: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -142,10 +143,15 @@ def _max_order() -> int:
 
 
 def _parse_capped(text: str) -> Fraction:
+    # Sums the Euclidean quotients and stops at the cap: a full expansion of
+    # a long input would cost more than refusing it.
     x = parse_rational(text)
-    n = ell(x)
-    if n > MAX_TERM_SUM:
-        raise DomainError(f"term sum {n} exceeds the cap {MAX_TERM_SUM}")
+    num, den, total = x.numerator, x.denominator, 0
+    while den:
+        quotient, rest = divmod(num, den)
+        num, den, total = den, rest, total + quotient
+        if total > MAX_TERM_SUM:
+            raise DomainError(f"term sum exceeds the cap {MAX_TERM_SUM}")
     return x
 
 

@@ -101,6 +101,23 @@ E_CF_PREFIX_15 = [2, 1, 2, 1, 1, 4, 1, 1, 6, 1, 1, 8, 1, 1, 10]
 # --- Reference recursions ------------------------------------------------------
 
 
+def enumerate_by_moves(max_ell):
+    """Every positive rational of term sum at most max_ell with its term sum,
+    breadth-first from 1 under the moves x -> 1+x and x -> x/(1+x)."""
+    if max_ell < 1:
+        return []
+    out = [(Fraction(1), 1)]
+    level = [Fraction(1)]
+    for depth in range(2, max_ell + 1):
+        nxt = []
+        for x in level:
+            nxt.append(1 + x)
+            nxt.append(x / (1 + x))
+        out.extend((x, depth) for x in nxt)
+        level = nxt
+    return out
+
+
 def step_ascent(u, terms):
     """The solution pair by single moves: from (1, 1), step up n - 1 times
     for the last term, then swap and step up n times for each earlier term."""

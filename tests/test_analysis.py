@@ -13,12 +13,14 @@ from oracles import (
     PI_SERIES_40,
     Q_GOLDEN_SERIES_21,
     classical_convergents,
+    enumerate_by_moves,
 )
 
 from cfdeform.analysis import (
     CATALAN,
     FIBONACCI,
     GENERALIZED_CATALAN,
+    PROPERTIES,
     bfs_oracle,
     check_anti_unimodality,
     check_sign_alternation,
@@ -33,7 +35,7 @@ from cfdeform.analysis import (
     run_property_sweep,
     stabilization_depth,
 )
-from cfdeform.contfrac import StreamingCF, cf_expand
+from cfdeform.contfrac import StreamingCF, cf_expand, ell
 from cfdeform.errors import DomainError, StabilizationError, TermsExhaustedError
 from cfdeform.exactnum import RingPoly, TruncatedSeries, series_of_ratfun
 from cfdeform.qdeform import q_deform_series
@@ -42,6 +44,7 @@ from cfdeform.udeform import (
     U_NUM,
     U_RZERO_POLY,
     U_SZERO_POLY,
+    FPair,
     UParams,
     f_pair,
     quantize,
@@ -55,6 +58,17 @@ def test_enumeration_counts_and_uniqueness():
         assert len({x for x, _ in items}) == len(items)
         for x, depth in items:
             assert sum(cf_expand(x).terms) == depth
+
+
+def test_walk_reaches_each_rational_once_at_its_term_sum():
+    # The table-size guarantee of the sweeps: every input of term sum at
+    # most ell, once, at the depth of its term sum, in breadth-first order.
+    for bound in range(1, 15):
+        items = enumerate_rationals(bound)
+        assert items == enumerate_by_moves(bound)
+        assert len({x for x, _ in items}) == len(items) == 2**bound - 1
+        assert list(bfs_oracle(U_CON, bound)) == [x for x, _ in items]
+    assert all(ell(x) == depth for x, depth in items)
 
 
 def test_bfs_oracle_level_two():
@@ -427,6 +441,43 @@ def test_parallel_sweep_cancels_queued_chunks(monkeypatch, inline_pool):
     first_bad = max(i for i, f in enumerate(futures) if f.ran)
     assert first_bad < len(futures) - 1
     assert all(f.cancelled for f in futures[first_bad + 1 :])
+
+
+@pytest.mark.parametrize("name", list(PROPERTIES))
+def test_chunked_sweep_matches_serial(monkeypatch, inline_pool, name):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    u = PROPERTIES[name].u
+    serial = run_property_sweep(name, u, 8, order=10)
+    chunked = run_property_sweep(name, u, 8, order=10, jobs=2)
+    assert len(inline_pool[-1].futures) > 1
+    assert chunked.as_dict() == serial.as_dict()
+
+
+def test_oracle_equivalence_reports_the_first_wrong_pair(monkeypatch, inline_pool):
+    bad = Fraction(5, 7)  # term sum 5: [0, 1, 2, 2]
+    real = f_pair
+    monkeypatch.setattr(
+        "cfdeform.analysis.f_pair", lambda u, x: FPair(0, 0) if x == bad else real(u, x)
+    )
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    serial = run_property_sweep("oracle-equivalence", U_SZERO_POLY, 7)
+    chunked = run_property_sweep("oracle-equivalence", U_SZERO_POLY, 7, jobs=2)
+    assert len(inline_pool[-1].futures) > 1
+    position = [x for x, _ in enumerate_rationals(7)].index(bad) + 1
+    assert 2**4 <= position < 2**5
+    expected = {
+        "property": "oracle-equivalence",
+        "holds": False,
+        "counterexample": {"x": "5/7"},
+        "tested": position,
+    }
+    assert serial.as_dict() == chunked.as_dict() == expected
+
+
+@pytest.mark.parametrize("jobs", [0, -4])
+def test_sweep_needs_positive_jobs(jobs):
+    with pytest.raises(DomainError, match="jobs must be at least 1"):
+        run_property_sweep("involution", U_CON, 3, jobs=jobs)
 
 
 @pytest.mark.parametrize("name", ["oracle-equivalence", "defining-equations", "involution"])

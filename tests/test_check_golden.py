@@ -1,0 +1,79 @@
+"""Golden outputs of ``cfdeform check``: every property under five matrix
+choices and three formats at ``--max-ell 6``, replayed in-process.
+
+``check_golden.json`` holds each case's argv, exit code and stdout, captured
+before the sweeps were rebuilt on one breadth-first walk (commit ba36159).
+Running ``python tests/test_check_golden.py`` rewrites it from the code at
+hand; do that only on purpose, when an output is meant to change.
+"""
+
+import contextlib
+import io
+import json
+import os
+import sys
+
+import pytest
+
+from cfdeform.cli import main
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "check_golden.json")
+NAMES = ("defining-equations", "integrality", "unimodality", "anti-unimodality",
+         "alternation", "stabilization", "involution", "oracle-equivalence")
+MATRICES = (None, "p,1,1,0", "p,1,0,1", "1,1,0,1", "2,3,1,1")  # None: the row's default
+FORMATS = ("text", "json", "latex")
+
+
+def golden_argvs():
+    for name in NAMES:
+        for u in MATRICES:
+            for fmt in FORMATS:
+                u_args = [] if u is None else ["--u", u]
+                yield ["check", "--property", name, "--max-ell", "6", *u_args, "--format", fmt]
+
+
+def run_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def load_golden():
+    with open(GOLDEN, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+CASES = load_golden() if os.path.exists(GOLDEN) else []
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda case: " ".join(case["argv"][2:]))
+def test_check_output_matches_golden(case):
+    assert run_main(case["argv"]) == (case["code"], case["stdout"])
+
+
+@pytest.mark.parametrize("name", ["integrality", "unimodality", "anti-unimodality", "alternation"])
+def test_coefficient_rows_read_the_walks_pairs(monkeypatch, name):
+    # These rows take each input's pair from the sweep's walk, never from f_pair.
+    def no_f_pair(u, x):
+        raise AssertionError(f"f_pair called at {x}")
+
+    monkeypatch.setattr("cfdeform.analysis.f_pair", no_f_pair)
+    for case in CASES:
+        if case["argv"][2] == name:
+            assert run_main(case["argv"]) == (case["code"], case["stdout"])
+
+
+def test_golden_covers_every_case():
+    assert [case["argv"] for case in CASES] == list(golden_argvs())
+
+
+if __name__ == "__main__":
+    cases = []
+    for argv in golden_argvs():
+        code, stdout = run_main(argv)
+        cases.append({"argv": argv, "code": code, "stdout": stdout})
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(cases, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {len(cases)} cases to {GOLDEN}", file=sys.stderr)

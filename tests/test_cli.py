@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -336,7 +337,28 @@ def test_eval_prints_answers_past_the_int_digit_limit(unlimited_int_digits):
 def test_inputs_past_the_term_sum_cap_are_refused(args):
     code, out, err = run_cli(*args)
     assert code == 1 and out == b""
-    assert err == f"cfdeform: term sum 2001 exceeds the cap {MAX_TERM_SUM}\n".encode()
+    assert err == f"cfdeform: term sum exceeds the cap {MAX_TERM_SUM}\n".encode()
+
+
+def _fibonacci_pair(n):
+    # (F(n), F(n+1)) by fast doubling.
+    if n == 0:
+        return 0, 1
+    a, b = _fibonacci_pair(n // 2)
+    c, d = a * (2 * b - a), a * a + b * b
+    return (d, c + d) if n % 2 else (c, d)
+
+
+def test_long_input_is_refused_without_a_full_expansion(unlimited_int_digits):
+    # F(100001)/F(100000) has 21k digits and 100,000 unit terms; summing
+    # them all is quadratic in the digits, stopping at the cap is not.
+    small, large = _fibonacci_pair(100000)
+    argv = ["eval", "--u", "p,1,1,0", "--x", f"{large}/{small}"]
+    start = time.perf_counter()
+    code, out, err = _main_streams(argv)
+    elapsed = time.perf_counter() - start
+    assert (code, out, err) == (1, "", f"cfdeform: term sum exceeds the cap {MAX_TERM_SUM}\n")
+    assert elapsed < 0.3
 
 
 def test_term_sum_at_the_cap_is_accepted():
@@ -346,11 +368,15 @@ def test_term_sum_at_the_cap_is_accepted():
     assert doc["result"]["ell"] == 4000
 
 
-def _main(argv):
+def _main_streams(argv):
     with contextlib.redirect_stdout(io.StringIO()) as out, \
-            contextlib.redirect_stderr(io.StringIO()):
+            contextlib.redirect_stderr(io.StringIO()) as err:
         code = main(argv)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _main(argv):
+    return _main_streams(argv)[:2]
 
 
 def test_check_defaults_come_from_the_property_table():
@@ -358,11 +384,38 @@ def test_check_defaults_come_from_the_property_table():
         code, out = _main(["check", "--property", name, "--max-ell", "3", "--format", "json"])
         doc = json.loads(out)
         assert UParams.parse(doc["input"]["u"]) == row.u
-        if row.check is not None:  # the whole-table sweep reports no details
-            details = doc["result"]["details"]
+        details = doc["result"].get("details", {})
+        assert tuple(details) == row.details
+        if details:
             assert details["u"] == str(row.u)
-            assert ("order" in details) == row.reports_order
         assert code == (0 if doc["result"]["holds"] or row.observation else 1)
+
+
+@pytest.mark.parametrize(
+    "argv, start",
+    [
+        (["check", "--property", "no-such-thing"], "check: argument --property: invalid choice"),
+        (["check", "--property", "involution", "--format", "xml"],
+         "check: argument --format: invalid choice"),
+        (["eval", "--u", "p,1,1,0"], "eval: the following arguments are required: --x"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["property", "format", "missing-x", "subcommand", "no-subcommand"],
+)
+def test_usage_errors_print_one_line(argv, start):
+    code, out, err = _main_streams(argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"cfdeform: {start}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_jobs_below_one_are_refused(jobs):
+    code, out, err = _main_streams(
+        ["check", "--property", "integrality", "--max-ell", "3", "--jobs", jobs]
+    )
+    assert (code, out) == (1, "")
+    assert err == f"cfdeform: jobs must be at least 1, got {jobs}\n"
 
 
 def _flag(name, values):
@@ -380,6 +433,7 @@ _U = st.sampled_from(
 )
 _ORDER = st.one_of(_INTS, st.sampled_from(["201", "x", ""]))
 _MAX_ELL = st.sampled_from(["-1", "0", "1", "3", "5", "21", "x"])
+_JOBS = st.sampled_from(["-1", "0", "1", "x"])  # none of these starts a pool
 _FORMAT = _flag("--format", st.sampled_from(["text", "json", "latex", "xml"]))
 _SOURCE = st.one_of(
     _flag("--x", _RATIONALS), _flag("--const", st.sampled_from(["e", "pi", "golden", "tau"]))
@@ -392,7 +446,8 @@ _ARGV = st.one_of(
     st.tuples(st.just(["compare"]), _flag("--x", _RATIONALS), _flag("--order", _ORDER), _FORMAT),
     st.tuples(st.just(["check"]),
               _flag("--property", st.sampled_from([*PROPERTIES, "no-such-thing"])),
-              _flag("--u", _U), _flag("--max-ell", _MAX_ELL), _flag("--order", _ORDER), _FORMAT),
+              _flag("--u", _U), _flag("--max-ell", _MAX_ELL), _flag("--order", _ORDER),
+              _flag("--jobs", _JOBS), _FORMAT),
     st.tuples(st.just(["cf"]), st.one_of(_flag("--x", _RATIONALS), _flag("--j", _RATIONALS)),
               _FORMAT),
     st.sampled_from([(["--version"],), ([],), (["bogus"],)]),

@@ -12,7 +12,7 @@ from oracles import (
     step_ascent,
 )
 
-from cfdeform.contfrac import cf_expand, ell
+from cfdeform.contfrac import cf_expand, cf_value, ell
 from cfdeform.errors import DegenerateParametersError, DomainError, EvaluationError
 from cfdeform.exactnum import RationalFunction, RingPoly
 from cfdeform.qdeform import q_pair
@@ -119,6 +119,27 @@ def test_walk_ignores_trailing_one_rewrite(n0, middle, n, single):
     assert f_pair(U_SZERO_POLY, terms) == f_pair(U_SZERO_POLY, rewritten)
     assert f_pair(UParams(2, 3, 1, 1), terms) == f_pair(UParams(2, 3, 1, 1), rewritten)
     assert q_pair(terms) == q_pair(rewritten)
+
+
+def _within_term_sum(terms, cap=60):
+    kept = []
+    for t in terms:
+        if sum(kept) + t > cap:
+            break
+        kept.append(t)
+    return kept
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=25), min_size=1, max_size=40).map(_within_term_sum),
+    st.sampled_from(WALK_MATRICES),
+)
+def test_reciprocal_swaps_the_pair(terms, u):
+    # f_pair(u, x) = (f(x), f(1/x)) whichever of x and 1/x the walk starts from.
+    x = cf_value(terms)
+    fx, finv = f_pair(u, x)
+    assert f_pair(u, 1 / x) == (finv, fx)
 
 
 def test_level_cache_keeps_integer_and_symbolic_apart():
