@@ -277,10 +277,8 @@ def check_anti_unimodality(poly: RingPoly, subject=None) -> PropertyReport:
     return PropertyReport("anti-unimodality", True, None, 1)
 
 
-def check_sign_alternation(
-    series: TruncatedSeries, from_index: int = 0, subject=None
-) -> PropertyReport:
-    """Nonzero coefficients from ``from_index`` on strictly alternate in sign.
+def check_sign_alternation(series: TruncatedSeries, subject=None) -> PropertyReport:
+    """Nonzero coefficients strictly alternate in sign.
 
     Zero coefficients are skipped by the alternation test but flagged in the
     details, since the right policy for them is a judgement call.
@@ -288,8 +286,7 @@ def check_sign_alternation(
     zeros: list[int] = []
     prev_sign = 0
     violation: dict | None = None
-    for i in range(from_index, len(series)):
-        c = series[i]
+    for i, c in enumerate(series):
         if c == 0:
             zeros.append(i)
             continue
@@ -422,7 +419,7 @@ def _px_stabilization(u: UParams, x: Fraction, pair: FPair, order: int) -> dict 
 
 
 def _px_involution(u: UParams, x: Fraction, pair: FPair, order: int) -> dict | None:
-    image = j_quotient(x)
+    image = pair.quotient()
     if j_quotient(image) != x:
         return {"x": str(x), "kind": "quotient-involution"}
     cf = cf_expand(x)
@@ -472,7 +469,10 @@ def _chunk_worker(name: str, u: UParams, items: Iterable, order: int) -> tuple[i
     count = 0
     for x, pair in items:
         count += 1
-        violation = check(u, x, pair, order)
+        try:
+            violation = check(u, x, pair, order)
+        except (DomainError, ZeroDivisionError) as exc:
+            raise DomainError(f"{name} at x = {x}: {exc}") from None
         if violation is not None:
             return count, violation
     return count, None
@@ -514,15 +514,17 @@ def run_property_sweep(
         queued = collections.deque()
         tested, violation = 0, None
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            while violation is None:
-                for chunk in itertools.islice(chunks, 2 * workers - len(queued)):
-                    queued.append(pool.submit(_chunk_worker, name, u, chunk, order))
-                if not queued:
-                    break
-                count, violation = queued.popleft().result()
-                tested += count
-            for future in queued:
-                future.cancel()
+            try:
+                while violation is None:
+                    for chunk in itertools.islice(chunks, 2 * workers - len(queued)):
+                        queued.append(pool.submit(_chunk_worker, name, u, chunk, order))
+                    if not queued:
+                        break
+                    count, violation = queued.popleft().result()
+                    tested += count
+            finally:  # after a violation or an error, drop the queued chunks
+                for future in queued:
+                    future.cancel()
     known = {"max_ell": max_ell, "u": str(u), "order": order}
     details = {key: known[key] for key in row.details}
     return PropertyReport(name, violation is None, violation, tested, details)

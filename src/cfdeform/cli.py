@@ -37,15 +37,15 @@ from .errors import (
 )
 from .exactnum import RationalFunction, RingPoly, TruncatedSeries, format_terms, series_of_ratfun
 from .qdeform import q_deform_series
-from .udeform import U_RZERO_POLY, U_SZERO_POLY, UParams, f_pair, j_quotient, quantize
+from .udeform import U_RZERO_POLY, U_SZERO_POLY, UParams, f_pair, j_quotient
 
 MAX_ORDER_ENV = "UDEFORM_MAX_ORDER"
 DEFAULT_MAX_ORDER = 200
 # A sweep holds two depths of its walk, inputs with their pairs: 448 MB at 20 under
 # (p,1;1,0), where a list of all inputs takes 210 MB and a table of all pairs 578 MB.
 MAX_SWEEP_ELL = 20
-# Rational inputs: cost grows superlinearly with the term sum; at the cap,
-# eval under (p,1;0,1) takes about 2.6 s on a 2-vCPU machine.
+# Rational inputs: cost grows superlinearly with the term sum; at the cap, eval of
+# 7500744601/2498168990 under (p,1;0,1) takes about 3.7 s as a 2-vCPU process.
 MAX_TERM_SUM = 2000
 
 EXIT_OK = 0
@@ -172,7 +172,7 @@ def _cmd_eval(args) -> int:
     u = UParams.parse(args.u)
     x = _parse_capped(args.x)
     pair = f_pair(u, x)
-    value = quantize(u, x)
+    value = pair.quotient()
     var = "p"
     inputs = {"u": args.u, "x": args.x}
     result = {
@@ -210,8 +210,7 @@ def _cmd_series(args) -> int:
         raise DomainError("series extraction needs the formal variable in U (e.g. --u p,1,1,0)")
     if args.x is not None:
         x = _parse_capped(args.x)
-        value = quantize(u, x)
-        series = series_of_ratfun(value, order)
+        series = series_of_ratfun(f_pair(u, x), order)
         subject = args.x
     else:
         if u == U_RZERO_POLY and not args.heuristic:
@@ -261,7 +260,7 @@ def _cmd_qseries(args) -> int:
 def _cmd_compare(args) -> int:
     order = _check_order(args.order)
     x = _parse_capped(args.x)
-    u_series = series_of_ratfun(quantize(U_SZERO_POLY, x), order)
+    u_series = series_of_ratfun(f_pair(U_SZERO_POLY, x), order)
     q_series = q_deform_series(x, order)
     inputs = {"x": args.x, "order": order}
     result = {

@@ -212,10 +212,7 @@ def format_terms(
 
 
 def poly_content(a: RingPoly) -> int:
-    g = 0
-    for c in a.coeffs:
-        g = math.gcd(g, c)
-    return g
+    return math.gcd(*a.coeffs)
 
 
 def poly_divexact(a: RingPoly, b: RingPoly) -> RingPoly:
@@ -260,9 +257,7 @@ def _pseudo_rem(a: list[int], b: list[int]) -> list[int]:
 
 
 def _primitive(a: list[int]) -> list[int]:
-    g = 0
-    for c in a:
-        g = math.gcd(g, c)
+    g = math.gcd(*a)
     if g in (0, 1):
         return a
     return [c // g for c in a]
@@ -407,9 +402,6 @@ class RationalFunction:
             raise ZeroDivisionError(f"pole at {point}")
         return Fraction(self.num(point)) / Fraction(d)
 
-    def series(self, order: int) -> "TruncatedSeries":
-        return series_of_ratfun(self, order)
-
     def __str__(self):
         if self.is_polynomial():
             return str(self.num)
@@ -511,10 +503,11 @@ class TruncatedSeries:
 def series_of_ratfun(f, order: int) -> TruncatedSeries:
     """First ``order + 1`` Taylor coefficients of a rational function at 0.
 
-    Accepts a RationalFunction or a raw (num, den) pair of RingPoly; the pair
-    form skips gcd reduction, which matters for the large convergents used by
-    the stabilization machinery.  Requires a nonzero constant term in the
-    denominator.
+    Accepts a RationalFunction or a (num, den) pair of RingPoly, reduced or
+    not.  A pair whose den has constant term 0 first cancels the common
+    power of the variable; after that any pair expands exactly as its
+    reduced RationalFunction would, with the same coefficients, and raises
+    ZeroDivisionError exactly when the reduced value has a pole at 0.
     """
     if isinstance(f, RationalFunction):
         num, den = f.num, f.den
@@ -522,10 +515,15 @@ def series_of_ratfun(f, order: int) -> TruncatedSeries:
         num, den = f
     if order < 0:
         raise ValueError("order must be nonnegative")
-    d0 = den.constant_term
+    ncs, dcs = num.coeffs, den.coeffs
+    if dcs[:1] == (0,):
+        # Cancel the common power of the variable; any left in den is a pole.
+        k = next(i for i, c in enumerate(dcs) if c)
+        k = next((i for i, c in enumerate(ncs[:k]) if c), k)
+        ncs, dcs = ncs[k:], dcs[k:]
+    d0 = dcs[0] if dcs else 0
     if d0 == 0:
         raise ZeroDivisionError("no Taylor expansion at origin")
-    ncs, dcs = num.coeffs, den.coeffs
     # A unit constant term is its own inverse and keeps integer series in ints.
     inverse = d0 if d0 in (1, -1) else Fraction(1, d0)
     out: list = []

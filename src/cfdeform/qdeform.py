@@ -66,7 +66,7 @@ def q_deform(cf) -> RationalFunction:
 
     Evaluating the result at q = 1 returns the undeformed value.
     """
-    return RationalFunction(*q_pair(cf))
+    return q_pair(cf).quotient()
 
 
 def q_deform_series(source, order: int) -> TruncatedSeries:

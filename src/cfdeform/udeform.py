@@ -53,6 +53,15 @@ class FPair(NamedTuple):
     fx: object
     finv: object
 
+    def quotient(self) -> Fraction | RationalFunction:
+        """The deformed value f(x) / f(1/x), reduced: a Fraction for integer pairs,
+        a RationalFunction for polynomial ones; EvaluationError if f(1/x) = 0."""
+        if self.finv == 0:
+            raise EvaluationError("quantization undefined: f(1/x) = 0")
+        if isinstance(self.fx, RingPoly):
+            return RationalFunction(self.fx, self.finv)
+        return Fraction(self.fx, self.finv)
+
 
 @dataclass(frozen=True)
 class UParams:
@@ -86,20 +95,20 @@ class UParams:
         return u
 
     @classmethod
-    def parse(cls, text: str, var: str = "p") -> "UParams":
-        """Parse four comma-separated entries, integers or the formal variable."""
+    def parse(cls, text: str) -> "UParams":
+        """Parse four comma-separated entries, integers or the formal variable p."""
         tokens = [t.strip() for t in text.split(",")]
         if len(tokens) != 4:
             raise DomainError(f"expected four comma-separated entries, got {text!r}")
         entries = []
         for tok in tokens:
-            if tok == var:
+            if tok == "p":
                 entries.append(RingPoly.variable())
             else:
                 try:
                     entries.append(int(tok))
                 except ValueError:
-                    raise DomainError(f"entry {tok!r} is neither an integer nor {var!r}") from None
+                    raise DomainError(f"entry {tok!r} is neither an integer nor 'p'") from None
         return cls(*entries)
 
     @property
@@ -178,16 +187,8 @@ def f_pair(u: UParams, x) -> FPair:
 
 
 def quantize(u: UParams, x) -> Fraction | RationalFunction:
-    """The deformed value f(x) / f(1/x), reduced.
-
-    Returns a Fraction for integer matrices and a RationalFunction for
-    symbolic ones.  Raises EvaluationError when f(1/x) vanishes (possible
-    for adversarial integer matrices; the deformation is undefined there).
-    """
-    fx, finv = f_pair(u, x)
-    if finv == 0:
-        raise EvaluationError("quantization undefined: f(1/x) = 0")
-    return RationalFunction(fx, finv) if u.symbolic else Fraction(fx, finv)
+    """The deformed value f(x) / f(1/x), reduced (FPair.quotient)."""
+    return f_pair(u, x).quotient()
 
 
 def codenominator(x) -> int:
@@ -202,8 +203,7 @@ def codenominator(x) -> int:
 
 def j_quotient(x) -> Fraction:
     """The involution x -> con(x) / con(1/x), with con the (1,1;0,1) solution."""
-    pair = f_pair(U_CON, x)
-    return Fraction(pair.fx, pair.finv)
+    return f_pair(U_CON, x).quotient()
 
 
 @dataclass(frozen=True)

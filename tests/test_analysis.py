@@ -16,6 +16,7 @@ from oracles import (
     enumerate_by_moves,
 )
 
+from cfdeform import udeform
 from cfdeform.analysis import (
     CATALAN,
     FIBONACCI,
@@ -363,6 +364,16 @@ def test_parallel_sweep_matches_serial():
     assert s2.as_dict() == p2.as_dict()
 
 
+def test_involution_row_reads_the_walks_pair(monkeypatch):
+    # One f_pair per input, for the image's own pair; x's pair is the walk's.
+    calls = []
+    real = udeform.f_pair
+    monkeypatch.setattr(udeform, "f_pair", lambda u, x: calls.append(x) or real(u, x))
+    monkeypatch.setattr("cfdeform.analysis.f_pair", udeform.f_pair)
+    report = run_property_sweep("involution", U_CON, 8)
+    assert report.holds and report.tested == len(calls) == 2**8 - 1
+
+
 @pytest.mark.parametrize("name", ["defining-equations", "integrality"])
 def test_parallel_sweep_keeps_non_variable_polynomial_entries(monkeypatch, name):
     # p + 1 is symbolic but not the bare variable; workers must sweep it as
@@ -441,6 +452,18 @@ def test_parallel_sweep_cancels_queued_chunks(monkeypatch, inline_pool):
     first_bad = max(i for i, f in enumerate(futures) if f.ran)
     assert first_bad < len(futures) - 1
     assert all(f.cancelled for f in futures[first_bad + 1 :])
+
+
+def test_parallel_sweep_error_names_the_input_and_cancels_queued_chunks(
+    monkeypatch, inline_pool
+):
+    # Under (p,p;1,0), x = 1/2 has the pair (1, 2p): a pole, in the second chunk.
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    with pytest.raises(DomainError, match=r"^integrality at x = 1/2: no Taylor expansion"):
+        run_property_sweep("integrality", UParams.parse("p,p,1,0"), 8, jobs=4)
+    futures = inline_pool[-1].futures
+    assert [f.ran for f in futures[:3]] == [True, True, False]
+    assert all(f.cancelled for f in futures[2:])
 
 
 @pytest.mark.parametrize("name", list(PROPERTIES))

@@ -64,6 +64,17 @@ def test_coefficient_rows_read_the_walks_pairs(monkeypatch, name):
             assert run_main(case["argv"]) == (case["code"], case["stdout"])
 
 
+def test_integrality_rows_reduce_nothing(monkeypatch):
+    # The rows expand each walk's pair as it stands; no gcd on the way.
+    def no_gcd(a, b):
+        raise AssertionError("poly_gcd called")
+
+    monkeypatch.setattr("cfdeform.exactnum.poly_gcd", no_gcd)
+    for case in CASES:
+        if case["argv"][2] == "integrality":
+            assert run_main(case["argv"]) == (case["code"], case["stdout"])
+
+
 def test_golden_covers_every_case():
     assert [case["argv"] for case in CASES] == list(golden_argvs())
 

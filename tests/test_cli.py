@@ -20,6 +20,7 @@ from oracles import (
     Q_19_31_SERIES,
 )
 
+from cfdeform import udeform
 from cfdeform.analysis import PROPERTIES
 from cfdeform.cli import MAX_TERM_SUM, main
 from cfdeform.udeform import UParams, f_pair, j_quotient
@@ -457,5 +458,58 @@ _ARGV = st.one_of(
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(_ARGV)
 def test_every_invocation_exits_with_a_documented_code(argv):
+    # A per-call bound of its own: hypothesis' deadline would flake on a slow machine.
+    start = time.perf_counter()
     code, _ = _main(argv)
+    elapsed = time.perf_counter() - start
     assert code in (0, 1, 2, 3), argv
+    assert elapsed < 5, (argv, elapsed)
+
+
+def _no_gcd(a, b):
+    raise AssertionError("poly_gcd called")
+
+
+@pytest.mark.parametrize(
+    "argv, key, expected",
+    [
+        (["series", "--u", "p,1,1,0", "--x", "19/31", "--order", "14"], "coefficients",
+         SERIES_19_31),
+        (["series", "--u", "p,1,0,1", "--x", "17/2", "--order", "8"], "coefficients",
+         RZERO_17_2_SERIES),
+        (["compare", "--x", "19/31", "--order", "14"], "u_series", SERIES_19_31),
+        (["compare", "--x", "19/31", "--order", "14"], "q_series", Q_19_31_SERIES),
+    ],
+    ids=["series-szero", "series-rzero", "compare-u", "compare-q"],
+)
+def test_series_of_a_rational_expands_the_pair_unreduced(monkeypatch, argv, key, expected):
+    monkeypatch.setattr("cfdeform.exactnum.poly_gcd", _no_gcd)
+    code, out = _main([*argv, "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["result"][key] == [str(c) for c in expected]
+
+
+def test_eval_walks_its_input_once(monkeypatch):
+    calls = []
+    real = udeform.walk
+    monkeypatch.setattr(udeform, "walk", lambda us, x: calls.append(x) or real(us, x))
+    code, out = _main(["eval", "--u", "p,1,1,0", "--x", "29/13", "--format", "json"])
+    assert code == 0 and len(calls) == 1
+    assert json.loads(out)["result"]["quantization"]["num"] == ["1", "3", "6", "7", "7", "4", "1"]
+
+
+@pytest.mark.parametrize(
+    "name, u, line",
+    [
+        ("unimodality", "p,-1,1,0", "x = 2: property checks need nonnegative coefficients"),
+        ("anti-unimodality", "p,-1,0,1", "x = 2: property checks need nonnegative coefficients"),
+        ("integrality", "p,p,1,0", "x = 1/2: no Taylor expansion at origin"),
+        ("alternation", "1,p,p,0", "x = 2: no Taylor expansion at origin"),
+    ],
+    ids=["unimodality", "anti-unimodality", "integrality", "alternation"],
+)
+def test_a_sweep_that_fails_on_an_input_names_it(name, u, line):
+    argv = ["check", "--property", name, "--u", u]
+    expected = f"cfdeform: {name} at {line}\n"
+    assert _main_streams(argv) == (1, "", expected)
+    assert run_cli(*argv, "--jobs", "2") == (1, b"", expected.encode())

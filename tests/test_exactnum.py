@@ -3,13 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+from cfdeform.analysis import enumerate_rationals
 from cfdeform.exactnum import (
     RationalFunction,
     RingPoly,
     TruncatedSeries,
+    poly_content,
     poly_gcd,
     series_of_ratfun,
 )
+from cfdeform.udeform import UParams, f_pair
 
 P = RingPoly.variable()
 
@@ -178,6 +181,51 @@ def test_series_times_denominator_recovers_numerator():
 def test_series_requires_unit_at_origin():
     with pytest.raises(ZeroDivisionError, match="no Taylor expansion at origin"):
         series_of_ratfun((RingPoly([1]), P), 3)
+
+
+def _expansion_or_pole(pair):
+    # Coefficients as strings, so 3 and Fraction(3) read alike; None for a pole.
+    try:
+        return [str(c) for c in series_of_ratfun(pair, 12)]
+    except ZeroDivisionError:
+        return None
+
+
+def _reduced_expansion_or_pole(pair):
+    # The reference: reduce first; a reduced value with den(0) = 0 has a pole.
+    if not pair[1]:
+        return None
+    value = RationalFunction(*pair)
+    if value.den.constant_term == 0:
+        return None
+    return [str(c) for c in series_of_ratfun(value, 12)]
+
+
+def test_raw_pair_cancels_the_common_power_of_the_variable():
+    # (p^2 + p) / (p^3 + p^2 + p) = (1 - p^2) / (1 - p^3)
+    assert list(series_of_ratfun((P**2 + P, P**3 + P**2 + P), 12)) == [1, 0, -1] * 4 + [1]
+    assert list(series_of_ratfun((P**2, P), 3)) == [0, 1, 0, 0]
+    assert list(series_of_ratfun((RingPoly(), P**2), 2)) == [0, 0, 0]
+    assert list(series_of_ratfun((RingPoly([2]), RingPoly([2, 2])), 3)) == [1, -1, 1, -1]
+    for pair in [(P, P**2), (RingPoly([1]), RingPoly()), (RingPoly([3, 1]), P**3 + P)]:
+        with pytest.raises(ZeroDivisionError, match="no Taylor expansion at origin"):
+            series_of_ratfun(pair, 3)
+
+
+@pytest.mark.parametrize(
+    "u_text", ["p,1,1,0", "p,1,0,1", "p,p,1,0", "p,1,p,0", "1,p,p,0", "2,p,1,0", "p,2,1,1"]
+)
+def test_raw_pair_expands_as_its_reduced_value(u_text):
+    u = UParams.parse(u_text)
+    for x, _ in enumerate_rationals(9):
+        pair = f_pair(u, x)
+        assert _expansion_or_pole(pair) == _reduced_expansion_or_pole(pair), x
+
+
+def test_poly_content():
+    assert poly_content(RingPoly([6, -4, 10])) == 2
+    assert poly_content(RingPoly([-3])) == 3
+    assert poly_content(RingPoly()) == 0
 
 
 def test_series_fractional_path_detects_nonintegrality():
