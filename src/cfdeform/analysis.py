@@ -422,15 +422,11 @@ def _px_involution(u: UParams, x: Fraction, pair: FPair, order: int) -> dict | N
     image = pair.quotient()
     if j_quotient(image) != x:
         return {"x": str(x), "kind": "quotient-involution"}
-    cf = cf_expand(x)
-    if len(cf) >= 2:
-        rewritten = j_rewrite(cf)
-        if cf_value(rewritten) != image:
-            return {"x": str(x), "kind": "rewrite-vs-quotient"}
-        # Re-rewriting needs two terms as well; single-term images are
-        # already covered by the quotient round trip above.
-        if len(rewritten) >= 2 and cf_value(j_rewrite(rewritten)) != x:
-            return {"x": str(x), "kind": "rewrite-involution"}
+    rewritten = j_rewrite(cf_expand(x))
+    if cf_value(rewritten) != image:
+        return {"x": str(x), "kind": "rewrite-vs-quotient"}
+    if cf_value(j_rewrite(rewritten)) != x:
+        return {"x": str(x), "kind": "rewrite-involution"}
     return None
 
 

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .exactnum import RationalFunction, RingPoly, TruncatedSeries, format_terms, series_of_ratfun
 from .qdeform import q_deform_series
-from .udeform import U_RZERO_POLY, U_SZERO_POLY, UParams, f_pair, j_quotient
+from .udeform import U_RZERO_POLY, U_SZERO_POLY, UParams, f_pair
 
 MAX_ORDER_ENV = "UDEFORM_MAX_ORDER"
 DEFAULT_MAX_ORDER = 200
@@ -328,10 +328,7 @@ def _cmd_cf(args) -> int:
 
     x = _parse_capped(args.j)
     exp = cf_expand(x)
-    if len(exp) >= 2:
-        rewritten = j_rewrite(exp)
-    else:
-        rewritten = cf_expand(j_quotient(x))
+    rewritten = j_rewrite(exp)
     value = cf_value(rewritten)
     inputs = {"j": args.j}
     result = {

@@ -3,8 +3,8 @@
 Canonical expansions, exact reconstruction, the term-sum weight ``ell``,
 streaming term sources for the builtin irrational constants, the one
 routine that turns a source into a series by comparing its last two deformed
-convergents, and the rewriting rule that realizes the involution
-x -> con(x)/con(1/x) directly on continued-fraction terms.
+convergents, and the involution x -> con(x)/con(1/x) as one rule on x's
+word of moves back to 1.
 
 Text syntax (used by the CLI): a continued fraction is ``[2,1,2,1,1,4]``, a
 rational is ``p/q`` or a bare integer literal.
@@ -12,6 +12,8 @@ rational is ``p/q`` or a bare integer literal.
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
@@ -30,7 +32,6 @@ __all__ = [
     "convergents",
     "j_rewrite",
     "canonicalize_terms",
-    "reciprocal_terms",
     "parse_rational",
     "parse_cf",
     "format_cf",
@@ -126,15 +127,6 @@ def canonicalize_terms(terms: Iterable[int]) -> tuple[int, ...]:
     if len(t) > 1 and t[-1] == 1:
         t = t[:-2] + [t[-2] + 1]
     return tuple(t)
-
-
-def reciprocal_terms(terms: Sequence[int]) -> tuple[int, ...]:
-    """Continued fraction of the reciprocal: strip or prepend a zero term."""
-    if tuple(terms) == (1,):
-        return (1,)
-    if terms[0] == 0:
-        return tuple(terms[1:])
-    return (0,) + tuple(terms)
 
 
 class StreamingCF:
@@ -286,59 +278,25 @@ def convergents(src: StreamingCF | Sequence[int], count: int) -> list[Fraction]:
 
 
 def j_rewrite(cf: CFExpansion | Sequence[int]) -> CFExpansion:
-    """Rewrite a continued fraction into the one for con(x)/con(1/x).
+    """Rewrite a canonical continued fraction into the one for con(x)/con(1/x).
 
-    Works on canonical expansions with at least two terms.  Each term n
-    contributes a block of ones (n0 gives n0-1 of them, interior terms n give
-    n-2, the final term gives n-1) with a literal 2 between consecutive
-    blocks; empty blocks vanish and blocks of length -1 merge their
-    neighbours into n+m-1.  Values below one go through the reciprocal
-    identity.  Single-term inputs are refused: the blocks for the first and
-    last term would coincide, and the quotient form covers that case.
+    x is read as its word of moves back to 1: term i of [n0, ..., nk] is a
+    run of n_i copies of the letter i mod 2 (letter 0 is x -> x-1, letter 1
+    is x -> x/(1-x)), and the last run is one letter short.  The image keeps
+    the first letter and changes letter exactly where x's word does not.  Its
+    runs are its terms, after a leading 0 when it starts with letter 1, and
+    its last run is one letter longer.  Non-canonical input is refused.
     """
-    terms = cf.terms if isinstance(cf, CFExpansion) else tuple(cf)
-    exp = cf if isinstance(cf, CFExpansion) else CFExpansion(terms)
-    if len(terms) < 2:
-        raise DomainError("term rewriting needs at least two terms; use the quotient form")
+    exp = cf if isinstance(cf, CFExpansion) else CFExpansion(tuple(cf))
     if not exp.is_canonical:
-        raise DomainError(f"non-canonical continued fraction {list(terms)}")
-    if terms[0] == 0:
-        inner = terms[1:]
-        if len(inner) >= 2:
-            rewritten = j_rewrite(inner).terms
-        else:
-            # Reciprocal of a single term m: the block rule degenerates to a
-            # run of m ones (cross-checked against the quotient definition).
-            rewritten = canonicalize_terms([1] * inner[0])
-        return CFExpansion(reciprocal_terms(rewritten))
-
-    out: list[int] = []
-    merge_pending = False
-
-    def emit(value: int):
-        nonlocal merge_pending
-        if merge_pending:
-            out[-1] += value - 1
-            merge_pending = False
-        else:
-            out.append(value)
-
-    def emit_ones(count: int):
-        nonlocal merge_pending
-        if count >= 1:
-            for _ in range(count):
-                emit(1)
-        elif count == -1:
-            merge_pending = True
-        # count == 0: neighbouring terms simply stay adjacent
-
-    emit_ones(terms[0] - 1)
-    for n in terms[1:-1]:
-        emit(2)
-        emit_ones(n - 2)
-    emit(2)
-    emit_ones(terms[-1] - 1)
-    return CFExpansion(canonicalize_terms(out))
+        raise DomainError(f"non-canonical continued fraction {list(exp.terms)}")
+    word = [i % 2 for i, n in enumerate(exp.terms) for _ in range(n)][:-1]
+    if not word:
+        return exp  # x = 1
+    image = itertools.accumulate(map(operator.eq, word, word[1:]), operator.xor, initial=word[0])
+    runs = [len(list(run)) for _, run in itertools.groupby(image)]
+    runs[-1] += 1
+    return CFExpansion(tuple(([0] if word[0] else []) + runs))
 
 
 def parse_rational(text: str) -> Fraction:

@@ -184,8 +184,9 @@ def format_terms(
 ) -> str:
     """Render ascending coefficients (ints or Fractions) as a sum of terms.
 
-    Text style spaces the signs ("2p^2 - p + 1"); LaTeX style packs them and
-    braces exponents and fractions ("2p^{2}-p+1").  Zero renders as "0".
+    Text style spaces the signs and parenthesizes a fractional coefficient
+    of a power ("2p^2 - (1/2)p + 1"); LaTeX style packs the signs and braces
+    exponents and fractions ("2p^{2}-\\frac{1}{2}p+1").  Zero renders as "0".
     """
     indices = range(len(coeffs) - 1, -1, -1) if descending else range(len(coeffs))
     parts: list[str] = []
@@ -195,8 +196,11 @@ def format_terms(
             continue
         sign = "-" if c < 0 else ("+" if parts else "")
         mag = abs(c)
-        if latex and isinstance(mag, Fraction) and mag.denominator != 1:
+        fractional = isinstance(mag, Fraction) and mag.denominator != 1
+        if fractional and latex:
             mag_str = rf"\frac{{{mag.numerator}}}{{{mag.denominator}}}"
+        elif fractional and i > 0:
+            mag_str = f"({mag})"
         else:
             mag_str = str(mag)
         if i == 0:

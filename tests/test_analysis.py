@@ -16,7 +16,7 @@ from oracles import (
     enumerate_by_moves,
 )
 
-from cfdeform import udeform
+from cfdeform import analysis, udeform
 from cfdeform.analysis import (
     CATALAN,
     FIBONACCI,
@@ -372,6 +372,15 @@ def test_involution_row_reads_the_walks_pair(monkeypatch):
     monkeypatch.setattr("cfdeform.analysis.f_pair", udeform.f_pair)
     report = run_property_sweep("involution", U_CON, 8)
     assert report.holds and report.tested == len(calls) == 2**8 - 1
+
+
+def test_involution_row_rewrites_every_input_and_its_image(monkeypatch):
+    # No length guard: integers and single-term images are rewritten too.
+    calls = []
+    real = analysis.j_rewrite
+    monkeypatch.setattr(analysis, "j_rewrite", lambda cf: calls.append(cf) or real(cf))
+    report = run_property_sweep("involution", U_CON, 8)
+    assert report.holds and len(calls) == 2 * (2**8 - 1)
 
 
 @pytest.mark.parametrize("name", ["defining-equations", "integrality"])

@@ -1,9 +1,13 @@
-"""Golden outputs of ``cfdeform check``: every property under five matrix
-choices and three formats at ``--max-ell 6``, replayed in-process.
+"""Golden outputs of the CLI, replayed in-process: ``cfdeform check`` for
+every property under five matrix choices and three formats at
+``--max-ell 6``, and ``cfdeform cf --j`` for every rational of term sum at
+most 7 in three formats.
 
-``check_golden.json`` holds each case's argv, exit code and stdout, captured
-before the sweeps were rebuilt on one breadth-first walk (commit ba36159).
-Running ``python tests/test_check_golden.py`` rewrites it from the code at
+``check_golden.json`` holds each case's argv, exit code and stdout.  The
+``check`` cases were captured before the sweeps were rebuilt on one
+breadth-first walk (commit ba36159), the ``cf --j`` cases before ``j_rewrite``
+became the rule on the move word (commit bc4f7ec).  Running
+``python tests/test_check_golden.py`` rewrites the file from the code at
 hand; do that only on purpose, when an output is meant to change.
 """
 
@@ -15,6 +19,7 @@ import sys
 
 import pytest
 
+from cfdeform.analysis import enumerate_rationals
 from cfdeform.cli import main
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "check_golden.json")
@@ -30,6 +35,9 @@ def golden_argvs():
             for fmt in FORMATS:
                 u_args = [] if u is None else ["--u", u]
                 yield ["check", "--property", name, "--max-ell", "6", *u_args, "--format", fmt]
+    for x, _ in enumerate_rationals(7):
+        for fmt in FORMATS:
+            yield ["cf", "--j", str(x), "--format", fmt]
 
 
 def run_main(argv):
@@ -47,8 +55,15 @@ def load_golden():
 CASES = load_golden() if os.path.exists(GOLDEN) else []
 
 
-@pytest.mark.parametrize("case", CASES, ids=lambda case: " ".join(case["argv"][2:]))
+@pytest.mark.parametrize("case", [case for case in CASES if case["argv"][0] == "check"],
+                         ids=lambda case: " ".join(case["argv"][2:]))
 def test_check_output_matches_golden(case):
+    assert run_main(case["argv"]) == (case["code"], case["stdout"])
+
+
+@pytest.mark.parametrize("case", [case for case in CASES if case["argv"][0] == "cf"],
+                         ids=lambda case: " ".join(case["argv"][1:]))
+def test_cf_j_output_matches_golden(case):
     assert run_main(case["argv"]) == (case["code"], case["stdout"])
 
 

@@ -116,8 +116,19 @@ def test_cf_command():
     doc = run_json("cf", "--j", "5/2")
     assert doc["result"]["rewritten"] == [1, 3]
     assert doc["result"]["value"] == "4/3"
-    doc = run_json("cf", "--j", "5")  # single term goes through the quotient
+    doc = run_json("cf", "--j", "5")  # a single term takes the same rule
     assert Fraction(doc["result"]["value"]) == j_quotient(5)
+
+
+def test_cf_j_rewrites_without_walking(monkeypatch, capsys):
+    # cf --j has one path for every rational: the rewrite, never the walk.
+    def no_walk(*args):
+        raise AssertionError("udeform.walk called")
+
+    monkeypatch.setattr(udeform, "walk", no_walk)
+    for arg, image in [("5", "8/5"), ("1/5", "5/8")]:
+        assert main(["cf", "--j", arg]) == 0
+        assert capsys.readouterr().out.splitlines()[-1].endswith(f"= {image}")
 
 
 def test_check_hard_properties_pass():
@@ -269,6 +280,13 @@ def test_text_and_latex_formats_render():
     assert code == 0 and rb"O\left(p^{7}\right)" in out
     code, out, _ = run_cli("cf", "--x", "17/31", "--format", "latex")
     assert code == 0 and rb"\cfrac" in out
+
+
+def test_text_parenthesizes_a_fractional_coefficient(capsys):
+    assert main(["series", "--u", "2,p,1,0", "--x", "5/2", "--order", "4"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "2 + 2p + (1/2)p^2 - (1/4)p^3 + (1/8)p^4 + O(p^5)"
+    )
 
 
 def test_schema_value_shapes():

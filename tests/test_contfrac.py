@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfdeform.contfrac import (
     CFExpansion,
@@ -122,29 +123,31 @@ def test_j_rewrite_examples():
 
 
 def test_j_rewrite_input_contract():
-    with pytest.raises(DomainError):
-        j_rewrite([5])
+    # Every canonical expansion is taken, single terms included.
+    assert j_rewrite([5]).terms == (1, 1, 1, 2)
+    assert j_rewrite([0, 5]).terms == (0, 1, 1, 1, 2)
+    assert j_rewrite([1]).terms == (1,)
     with pytest.raises(DomainError):
         j_rewrite([2, 1])  # non-canonical
 
 
 def test_j_rewrite_matches_quotient(rationals_ell_10):
     for x, _ in rationals_ell_10:
-        exp = cf_expand(x)
-        if len(exp) < 2:
-            continue
-        assert cf_value(j_rewrite(exp)) == j_quotient(x)
+        assert cf_value(j_rewrite(cf_expand(x))) == j_quotient(x)
 
 
 def test_j_rewrite_is_involution(rationals_ell_10):
     for x, _ in rationals_ell_10:
-        exp = cf_expand(x)
-        if len(exp) < 2:
-            continue
-        image = j_rewrite(exp)
-        if len(image) < 2:
-            continue
-        assert cf_value(j_rewrite(image)) == x
+        assert cf_value(j_rewrite(j_rewrite(cf_expand(x)))) == x
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.booleans(), st.lists(st.integers(1, 30), min_size=1, max_size=10))
+def test_j_rewrite_is_the_quotient_up_to_term_sum_300(below_one, terms):
+    x = cf_value([0, *terms] if below_one else terms)
+    image = j_rewrite(cf_expand(x))
+    assert image == cf_expand(j_quotient(x))
+    assert j_rewrite(image) == cf_expand(x)
 
 
 def test_parse_and_format():

@@ -8,6 +8,7 @@ from cfdeform.exactnum import (
     RationalFunction,
     RingPoly,
     TruncatedSeries,
+    format_terms,
     poly_content,
     poly_gcd,
     series_of_ratfun,
@@ -264,3 +265,9 @@ def test_series_agreement_counts_shared_leading_coefficients():
     assert a.agreement(TruncatedSeries([0, 2, 3, 4])) == 0
     assert a.agreement(TruncatedSeries([1, 2])) == 2
     assert a != TruncatedSeries([1, 2])
+
+
+def test_format_terms_parenthesizes_fractional_coefficients_in_text():
+    coeffs = [Fraction(-1, 2), Fraction(3, 4), 2]
+    assert format_terms(coeffs, "p") == "-1/2 + (3/4)p + 2p^2"
+    assert format_terms(coeffs, "p", latex=True) == r"-\frac{1}{2}+\frac{3}{4}p+2p^{2}"

@@ -12,7 +12,8 @@ from oracles import (
     step_ascent,
 )
 
-from cfdeform.contfrac import cf_expand, cf_value, ell
+from cfdeform.analysis import enumerate_rationals
+from cfdeform.contfrac import cf_expand, cf_value, ell, j_rewrite
 from cfdeform.errors import DegenerateParametersError, DomainError, EvaluationError
 from cfdeform.exactnum import RationalFunction, RingPoly
 from cfdeform.qdeform import q_pair
@@ -393,6 +394,20 @@ def test_descending_form_sweep(rationals_ell_10):
         form = rzero_descending_cf(x)
         assert form.value() == quantize(U_RZERO_POLY, x)
         assert form.p_count == d - 1
+
+
+def test_descending_levels_are_the_runs_of_the_involution_word():
+    # Two independent paths: the descending form's p-coefficients of x are
+    # the runs of j(x)'s move word, i.e. j(x)'s terms with the last one less
+    # one and any leading 0 dropped.
+    inputs = [x for x, _ in enumerate_rationals(13) if x > 1]
+    assert len(inputs) == 4095
+    for x in inputs:
+        runs = list(j_rewrite(cf_expand(x)).terms)
+        runs[-1] -= 1
+        if runs[0] == 0:
+            runs.pop(0)
+        assert [lvl.coeffs[1] for lvl in rzero_descending_cf(x).levels] == runs
 
 
 def test_descending_form_rejects_small_values():
