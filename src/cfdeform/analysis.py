@@ -167,18 +167,20 @@ def bfs_oracle(u: UParams, max_ell: int) -> dict[Fraction, FPair]:
 def convergent_polys(terms: Sequence[int] | CFExpansion) -> list[FPair]:
     """Deformed convergents of a term prefix under the (p,1;1,0) family.
 
-    pairs[k] is the solution pair of the first k+1 terms, the first column
-    of the product L_0 ... L_k of the walk's levels (udeform.level) taken
-    left to right.  Each level ([n]_p, p^n; 1, 0) makes the columns follow
-    the classical two-term recursion; a leading 0 term gives (0, 1).
+    pairs[k] is the solution pair of the first k+1 terms.  With M the
+    product of their full runs up^n0 down^n1 ... (udeform.level), it is M's
+    second column after an up run and its first after a down run, as
+    up (0, 1) = down (1, 0) = (1, 1).  The levels (p^n, [n]_p; 0, 1) and
+    (1, 0; [n]_p, p^n) make those columns follow the classical two-term
+    recursion; a leading 0 term gives (0, 1).
     """
     ts = terms.terms if isinstance(terms, CFExpansion) else CFExpansion(tuple(terms)).terms
     a, b, c, d = RingPoly((1,)), RingPoly(), RingPoly(), RingPoly((1,))
     out = []
-    for n in ts:
-        e, f, g, h = level(U_SZERO_POLY, True, n)
-        a, b, c, d = e * a + g * b, f * a + h * b, e * c + g * d, f * c + h * d
-        out.append(FPair(a, c))
+    for i, n in enumerate(ts):
+        e, f, g, h = level(U_SZERO_POLY.moves[i % 2], n)
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+        out.append(FPair(a, c) if i % 2 else FPair(b, d))
     return out
 
 

@@ -44,8 +44,10 @@ DEFAULT_MAX_ORDER = 200
 # A sweep holds two depths of its walk, inputs with their pairs: 448 MB at 20 under
 # (p,1;1,0), where a list of all inputs takes 210 MB and a table of all pairs 578 MB.
 MAX_SWEEP_ELL = 20
-# Rational inputs: cost grows superlinearly with the term sum; at the cap, eval of
-# 7500744601/2498168990 under (p,1;0,1) takes about 3.7 s as a 2-vCPU process.
+# Rational inputs: the cap bounds the walk, not eval's gcd reduction (ROADMAP item 1).
+# As 2-vCPU processes, eval of the cap input 7500744601/2498168990 takes about 3.7 s
+# under (p,1;0,1) but did not finish in 14 minutes under p,p,p,1, and eval of
+# 7811271/2582500 (term sum 210) under 1,p,p,p took 35 s and 58 s in two runs.
 MAX_TERM_SUM = 2000
 
 EXIT_OK = 0
@@ -357,18 +359,19 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="cfdeform", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"cfdeform {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    u_eq = "; a negative first entry needs --u=, as in --u=-1,p,p,p"
 
     def add_format(p):
         p.add_argument("--format", choices=("text", "json", "latex"), default="text")
 
     p_eval = sub.add_parser("eval", help="solution pair and deformed value at a rational")
-    p_eval.add_argument("--u", required=True, help="four entries, ints or p (e.g. p,1,1,0)")
+    p_eval.add_argument("--u", required=True, help="four entries, ints or p (e.g. p,1,1,0)" + u_eq)
     p_eval.add_argument("--x", required=True, help="positive rational, a/b or integer")
     add_format(p_eval)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_series = sub.add_parser("series", help="Taylor coefficients of a deformed value")
-    p_series.add_argument("--u", required=True, help="parameter entries, must include p")
+    p_series.add_argument("--u", required=True, help="parameter entries, must include p" + u_eq)
     group = p_series.add_mutually_exclusive_group(required=True)
     group.add_argument("--x", help="positive rational to deform")
     group.add_argument("--const", choices=sorted(_CONST_SOURCES),
@@ -396,7 +399,7 @@ def _build_parser() -> _Parser:
     p_chk = sub.add_parser("check", help="run a bounded property sweep")
     p_chk.add_argument("--property", required=True, choices=PROPERTY_NAMES, metavar="NAME",
                        help=f"one of: {', '.join(PROPERTY_NAMES)}")
-    p_chk.add_argument("--u", default=None, help="parameter entries (per-property default)")
+    p_chk.add_argument("--u", default=None, help="parameter entries (per-property default)" + u_eq)
     p_chk.add_argument("--max-ell", type=int, default=10, dest="max_ell",
                        help="sweep every rational with term sum at most this (1 to 20)")
     p_chk.add_argument("--order", type=int, default=20, help="series order where relevant")

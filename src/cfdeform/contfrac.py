@@ -222,14 +222,14 @@ def stabilized_series(source, order: int, pair: Callable, proved: Callable) -> T
     ``pair(terms)`` and demands that they agree.
 
     Where ``proved(terms)`` holds, agreement is a theorem and a mismatch is
-    an internal error: both denominators have constant term 1 and
-    num_a den_b - num_b den_a = +-t^v with v >= sum(a) - 1 >= order + 1, so
-    the expansions agree below index v.  Under (p,1;1,0) with a first term
-    >= 1, v = sum(a) (convergent_determinant).  For q, q_pair(terms) is
-    P_n e1 for odd n = len(terms) and q^-1 P_n e1 for even n, where P_n is
-    the product of the first n levels of the q walk, each of determinant
-    -q^(a_i); so the cross-difference is q^-1 det(P_n) (M_n)_21 with
-    n = len(a), giving v = sum(a) - 1 for even n and v = sum(b) - 1 for odd n.
+    an internal error.  pair(a) = W (1, 1) and pair(terms) = W X Y^m (1, 1),
+    with W the word of a (sum(a) - 1 moves), X the move of a's last run and
+    Y the other one.  Every move of (p,1;1,0) and of q has determinant t, so
+    num_a den_b - num_b den_a = det(W) det((1, 1), X Y^m (1, 1)) is divisible
+    by t^(sum(a) - 1), where sum(a) - 1 >= order + 1; both denominators have
+    constant term 1, so the expansions agree through index order.  Under
+    (p,1;1,0) with a first term >= 1 the difference is +-p^sum(a)
+    (convergent_determinant).
     Elsewhere a mismatch is the expected StabilizationError.
     """
     if isinstance(source, StreamingCF):

@@ -1,64 +1,50 @@
-"""The alternating q-bracket deformation of rationals, for comparison.
+"""The q-deformation of rationals of Morier-Genoud and Ovsienko, for comparison.
 
-A continued fraction [a1, ..., an] deforms as the tower
+[x]_q for x = [a1, ..., an] is the tower [a1]_q + q^a1 / ([a2]_(1/q) +
+q^-a2 / ([a3]_q + q^a3 / (...))), with [a]_q = 1 + q + ... + q^(a-1).  It
+is fixed by [1]_q = 1 and the two moves
 
-    [a1]_q + q^a1 / ([a2]_q' + q^-a2 / ([a3]_q + q^a3 / ( ... )))
+    [x + 1]_q       = q [x]_q + 1
+    [x / (1 + x)]_q = q [x]_q / (1 + q [x]_q)
 
-with [a]_q = 1 + q + ... + q^(a-1) at odd positions and the q -> 1/q
-flavour [a]_q' = q^(1-a) [a]_q at even positions; a leading 0 term (values
-below one) enters as the zero bracket.  The tower is the walk of udeform
-with step-up matrices alternating between (q,1;1,0) and (1,q;q,0), so
-each level is a 2x2 polynomial matrix of determinant -q^a acting on a
-(numerator, denominator) pair, which comes out already in lowest terms.
-The walk starts from the swap-invariant pair (1, 1), so odd-length
-expansions need no rewriting and [..., n] and [..., n-1, 1] give the same
-pair.  Consecutive prefixes differ by a power of q, which proves how many
-terms of an irrational the q-series needs.
+which act on its (numerator, denominator) pair as the up matrix (q,1;0,1)
+and the down matrix (q,0;q,1), both of determinant q.  The pair is the
+walk of udeform over these two moves.  At p = q, (p,1;1,0) and q share the
+up move t -> pt + 1, and q's down matrix is q times (p,1;1,0)'s down
+matrix at p = 1/q (t -> t/(t + 1/q) against t -> t/(t + p)).
 """
 
 from __future__ import annotations
 
 from .contfrac import StreamingCF, stabilized_series
 from .exactnum import RationalFunction, RingPoly, TruncatedSeries, series_of_ratfun
-from .udeform import FPair, UParams, walk
+from .udeform import FPair, Move, walk
 
-__all__ = ["q_int", "q_pair", "q_deform", "q_deform_series"]
+__all__ = ["Q_MOVES", "q_int", "q_pair", "q_deform", "q_deform_series"]
 
 
-def q_int(a: int, inverse: bool = False) -> RationalFunction:
-    """The bracket [a]_q = 1 + q + ... + q^(a-1), or its q -> 1/q companion
-    q^(1-a) [a]_q, cleared to a quotient of polynomials."""
+def q_int(a: int) -> RationalFunction:
+    """The bracket [a]_q = 1 + q + ... + q^(a-1)."""
     if a < 0:
         raise ValueError("q-bracket of a negative integer")
-    if a == 0:
-        return RationalFunction(0)
-    numerator = RingPoly((1,) * a)
-    if not inverse:
-        return RationalFunction(numerator)
-    return RationalFunction(numerator, RingPoly.monomial(a - 1))
+    return RationalFunction(RingPoly((1,) * a))
 
 
-# The step-up matrices of even and odd term indices, (q,1;1,0) and (1,q;q,0).
 _q = RingPoly.variable()
-_Q_STEPS = (UParams(_q, 1, 1, 0), UParams(1, _q, _q, 0))
+Q_MOVES = Move(_q, 1, 0, 1), Move(_q, 0, _q, 1)
 
 
 def q_pair(cf) -> FPair:
     """Numerator and denominator of the q-deformation, already reduced.
 
-    The walk of udeform with step-up matrices (q,1;1,0) at even term
-    indices and (1,q;q,0) at odd ones.  A term a at index i is the level
-
-        even i: (num, den) <- ([a]_q num + q^a den, num)
-        odd i:  (num, den) <- (q [a]_q num + den, q^a num)
-
-    of determinant -q^a; the levels act from the last term to the first on
-    the start (1, 1), the last with a - 1 in place of a.  There is no gcd
-    anywhere: every coefficient stays nonnegative and the outermost level
-    leaves a denominator with constant term 1, so the pair is the normal
-    form that RationalFunction would produce.
+    The walk of Q_MOVES from (1, 1), the pair of [1]_q.  There is no gcd
+    anywhere: the word W of x's moves has determinant a power of q, and
+    adj(W) (num, den) = det(W) (1, 1), so every common divisor of the pair
+    divides a power of q; the denominator has constant term 1 and every
+    coefficient stays nonnegative, so the pair is the normal form that
+    RationalFunction would produce.
     """
-    return walk(_Q_STEPS, cf)
+    return walk(Q_MOVES, cf)
 
 
 def q_deform(cf) -> RationalFunction:

@@ -8,7 +8,9 @@ f(1) = 1 satisfying
 
 on the positive rationals.  The deformation of x is the quotient
 f(x) / f(1/x).  Entries may be integers or polynomials in one formal
-variable; the recursion is the same either way.
+variable; the recursion is the same either way.  Every positive rational
+is one word in the moves x -> 1 + x and x -> x / (1 + x), which act on the
+pair (f(x), f(1/x)) as the matrices (p q; s r) and (r s; q p).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .contfrac import CFExpansion, cf_expand
 from .errors import DegenerateParametersError, DomainError, EvaluationError
@@ -26,6 +28,7 @@ from .exactnum import RationalFunction, RingPoly
 __all__ = [
     "UParams",
     "FPair",
+    "Move",
     "SZeroParams",
     "DescendingCF",
     "U_NUM",
@@ -61,6 +64,19 @@ class FPair(NamedTuple):
         if isinstance(self.fx, RingPoly):
             return RationalFunction(self.fx, self.finv)
         return Fraction(self.fx, self.finv)
+
+
+class Move:
+    """The matrix (a b; c d) of one move, acting on a pair as
+    (x, y) -> (a x + b y, c x + d y).  Its entries are all RingPoly if any
+    is and ints otherwise, and ``one`` is the unit of their ring.  A move
+    hashes by identity, so looking up its cached powers hashes no polynomial."""
+
+    __slots__ = ("entries", "one")
+
+    def __init__(self, *entries):
+        self.one = RingPoly.constant(1) if any(isinstance(v, RingPoly) for v in entries) else 1
+        self.entries = tuple(v * self.one for v in entries)
 
 
 @dataclass(frozen=True)
@@ -119,18 +135,18 @@ class UParams:
     def symbolic(self) -> bool:
         return any(isinstance(v, RingPoly) for v in (self.p, self.q, self.r, self.s))
 
+    @functools.cached_property
+    def moves(self) -> tuple[Move, Move]:
+        """Up (p q; s r) and down (r s; q p), both of determinant -delta."""
+        return Move(self.p, self.q, self.s, self.r), Move(self.r, self.s, self.q, self.p)
+
     def entries(self) -> tuple:
         """(p, q, r, s), all RingPoly when the matrix is symbolic."""
-        values = (self.p, self.q, self.r, self.s)
-        return tuple(map(_lift, values)) if self.symbolic else values
+        one = RingPoly.constant(1) if self.symbolic else 1
+        return tuple(v * one for v in (self.p, self.q, self.r, self.s))
 
     def __str__(self):
         return f"({self.p},{self.q};{self.r},{self.s})"
-
-
-def _lift(v):
-    # Symbolic matrices compute in RingPoly throughout, integer ones in ints.
-    return RingPoly.constant(v) if isinstance(v, int) else v
 
 
 U_NUM = UParams(1, 1, 1, 0)
@@ -148,42 +164,34 @@ def _terms_of(x) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=1024)
-def level(u: UParams, symbolic: bool, n: int) -> tuple:
-    """A^n S as its rows (a, b, c, d), with A = (p q; s r) the step-up map
-    of u and S the swap.  Built as A^(k+1) = A^k A: squaring would multiply
-    dense powers, which is slower.  ``symbolic`` is in the key because a
-    matrix of constant RingPoly entries equals and hashes like the integer
-    one, but computes in RingPoly."""
-    p, q, r, s = map(_lift, u.entries()) if symbolic else u.entries()
-    x, y, z, w = map(_lift, (1, 0, 0, 1)) if symbolic else (1, 0, 0, 1)
+def level(move: Move, n: int) -> tuple:
+    """move^n as its rows (a, b, c, d), built as M^(k+1) = M^k M: squaring
+    would multiply dense powers, which is slower."""
+    a, b, c, d = move.entries
+    x, y, z, w = move.one, 0 * move.one, 0 * move.one, move.one
     for _ in range(n):
-        x, y, z, w = x * p + y * s, x * q + y * r, z * p + w * s, z * q + w * r
-    return y, x, w, z
+        x, y, z, w = x * a + y * c, x * b + y * d, z * a + w * c, z * b + w * d
+    return x, y, z, w
 
 
-def walk(us: Sequence[UParams], x) -> FPair:
-    """A_0^n0 S A_1^n1 S ... A_k^(nk - 1) (1, 1) for the continued fraction
-    [n0, ..., nk] of x, with A_i the step-up map of ``us[i % len(us)]``.
-
-    With one matrix this is f_pair; alternating (q,1;1,0) and (1,q;q,0) it
-    is q_pair.  As the start (1, 1) is swap-invariant, [..., n] and
-    [..., n-1, 1] give the same pair.
-    """
+def walk(moves: tuple[Move, Move], x) -> FPair:
+    """up^n0 down^n1 up^n2 ... (1, 1) for x = [n0, ..., nk] and a deformation's
+    moves (up, down), the last run one move short: x's word of moves from 1,
+    applied to the pair at 1, so [..., n] and [..., n-1, 1] give the same
+    pair.  The levels act on the vector, never on each other."""
     terms = _terms_of(x)
-    symbolic = any(u.symbolic for u in us)
-    fx = finv = RingPoly.constant(1) if symbolic else 1
+    fx = finv = moves[0].one
     last = len(terms) - 1
     for i in range(last, -1, -1):
-        a, b, c, d = level(us[i % len(us)], symbolic, terms[i] - (i == last))
+        a, b, c, d = level(moves[i % 2], terms[i] - (i == last))
         fx, finv = a * fx + b * finv, c * fx + d * finv
     return FPair(fx, finv)
 
 
 def f_pair(u: UParams, x) -> FPair:
     """Solve the defining system along the continued fraction of x: the walk
-    from the pair (1, 1) at 1 with the step up by one, (fx, finv) ->
-    (p fx + q finv, s fx + r finv), and the swap that takes x to 1/x."""
-    return walk((u,), x)
+    of u's two moves from the pair (1, 1) at 1."""
+    return walk(u.moves, x)
 
 
 def quantize(u: UParams, x) -> Fraction | RationalFunction:

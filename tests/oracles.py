@@ -118,6 +118,38 @@ def enumerate_by_moves(max_ell):
     return out
 
 
+def term_tuples(max_sum):
+    """Every expansion [n0, n1, ..., nk] with n0 >= 0, later terms >= 1 and
+    term sum at most max_sum, except the zero expansion [0]: leading 0s,
+    odd and even lengths and trailing 1s included."""
+    stack = [(n0,) for n0 in range(max_sum + 1)]
+    while stack:
+        terms = stack.pop()
+        if terms != (0,):
+            yield terms
+        for n in range(1, max_sum - sum(terms) + 1):
+            stack.append(terms + (n,))
+
+
+def q_moves_oracle(max_ell):
+    """The q-deformation's (numerator, denominator) pair of every rational of
+    term sum at most max_ell, breadth-first from (1, 1) at 1 by the modular
+    relations [x+1]_q = q[x]_q + 1 and [x/(1+x)]_q = q[x]_q / (1 + q[x]_q):
+    (N, D) -> (qN + D, D) and (qN, qN + D)."""
+    q = RingPoly((0, 1))
+    one = RingPoly((1,))
+    table = {Fraction(1): (one, one)}
+    depth = list(table.items())
+    for _ in range(max_ell - 1):
+        nxt = []
+        for x, (num, den) in depth:
+            nxt.append((1 + x, (q * num + den, den)))
+            nxt.append((x / (1 + x), (q * num, q * num + den)))
+        table.update(nxt)
+        depth = nxt
+    return table
+
+
 def step_ascent(u, terms):
     """The solution pair by single moves: from (1, 1), step up n - 1 times
     for the last term, then swap and step up n times for each earlier term."""

@@ -507,10 +507,19 @@ def test_series_of_a_rational_expands_the_pair_unreduced(monkeypatch, argv, key,
     assert json.loads(out)["result"][key] == [str(c) for c in expected]
 
 
+def test_negative_first_entry_needs_the_equals_form():
+    # argparse reads "-1,p,p,p" after a space as an option; "--u=" binds it.
+    code, out, err = run_cli("eval", "--u", "-1,p,p,p", "--x", "2")
+    assert (code, out) == (1, b"")
+    assert err == b"cfdeform: eval: argument --u: expected one argument\n"
+    doc = run_json("eval", "--u=-1,p,p,p", "--x", "2")
+    assert (doc["result"]["fx"], doc["result"]["finv"]) == (["-1", "1"], ["0", "2"])
+
+
 def test_eval_walks_its_input_once(monkeypatch):
     calls = []
     real = udeform.walk
-    monkeypatch.setattr(udeform, "walk", lambda us, x: calls.append(x) or real(us, x))
+    monkeypatch.setattr(udeform, "walk", lambda moves, x: calls.append(x) or real(moves, x))
     code, out = _main(["eval", "--u", "p,1,1,0", "--x", "29/13", "--format", "json"])
     assert code == 0 and len(calls) == 1
     assert json.loads(out)["result"]["quantization"]["num"] == ["1", "3", "6", "7", "7", "4", "1"]

@@ -9,6 +9,8 @@ from oracles import (
     Q_19_31,
     Q_19_31_SERIES,
     Q_GOLDEN_SERIES_21,
+    q_moves_oracle,
+    term_tuples,
 )
 
 from cfdeform.contfrac import StreamingCF, cf_expand, cf_value
@@ -22,19 +24,9 @@ Q = RingPoly.variable()
 def test_q_int_examples():
     assert q_int(2) == RationalFunction(RingPoly([1, 1]), 1)
     assert q_int(1) == RationalFunction(1, 1)
-    assert q_int(3, inverse=True) == RationalFunction(RingPoly([1, 1, 1]), Q**2)
     assert q_int(0) == RationalFunction(0, 1)
-    assert q_int(0, inverse=True) == RationalFunction(0, 1)
     with pytest.raises(ValueError):
         q_int(-1)
-
-
-def test_q_int_inverse_identity():
-    # The inverse flavour is q^(1-a) times the plain bracket.
-    for a in range(1, 8):
-        plain = q_int(a)
-        inv = q_int(a, inverse=True)
-        assert inv * RationalFunction(Q ** (a - 1), 1) == plain
 
 
 def test_deform_displays():
@@ -114,16 +106,16 @@ def test_pair_recursion_is_already_reduced(rationals_ell_10):
         assert den.constant_term == 1
 
 
-def _term_tuples(max_sum):
-    # Every expansion [n0, n1, ..., nk] with n0 >= 0, later terms >= 1 and
-    # term sum at most max_sum, except the zero expansion [0].
-    stack = [(n0,) for n0 in range(max_sum + 1)]
-    while stack:
-        terms = stack.pop()
-        if terms != (0,):
-            yield terms
-        for n in range(1, max_sum - sum(terms) + 1):
-            stack.append(terms + (n,))
+def test_pair_is_the_breadth_first_walk_of_the_modular_relations(rationals_ell_12):
+    # q_pair against (N, D) -> (qN + D, D), (qN, qN + D) from (1, 1), which
+    # uses no matrix of the package; the oracle's pairs are normal forms.
+    table = q_moves_oracle(12)
+    assert len(table) == len(rationals_ell_12) == 4095
+    for x, _ in rationals_ell_12:
+        num, den = table[x]
+        assert q_pair(x) == (num, den), x
+        reduced = RationalFunction(num, den)
+        assert (reduced.num, reduced.den) == (num, den), x
 
 
 def _assert_cross_difference_is_power(terms):
@@ -141,7 +133,7 @@ def _assert_cross_difference_is_power(terms):
 
 def test_cross_difference_of_consecutive_prefixes():
     checked = 0
-    for terms in _term_tuples(10):
+    for terms in term_tuples(10):
         if len(terms) >= 2 and terms[:-1] != (0,):
             _assert_cross_difference_is_power(terms)
             checked += 1
@@ -182,11 +174,16 @@ def test_deform_of_expansion_object():
     assert cf_value(exp) == Fraction(7, 5)
 
 
+def _bracket(a, inverse):
+    # [a]_q, or its q -> 1/q flavour q^(1-a) [a]_q at even positions.
+    return q_int(a) / RationalFunction(Q ** (a - 1)) if inverse else q_int(a)
+
+
 def _literal_tower(terms):
     # The alternating tower evaluated on the terms as given, without the
     # even-length tail rewrite.
     last_inverse = (len(terms) - 1) % 2 == 1
-    value = q_int(terms[-1], inverse=last_inverse)
+    value = _bracket(terms[-1], last_inverse)
     for i in range(len(terms) - 2, -1, -1):
         inverse = i % 2 == 1
         power = terms[i] if not inverse else -terms[i]
@@ -194,7 +191,7 @@ def _literal_tower(terms):
             step = RationalFunction(RingPoly.monomial(power), 1)
         else:
             step = RationalFunction(1, RingPoly.monomial(-power))
-        value = q_int(terms[i], inverse) + step / value
+        value = _bracket(terms[i], inverse) + step / value
     return value
 
 

@@ -10,6 +10,7 @@ from oracles import (
     RZERO_TABLE,
     SZERO_TABLE,
     step_ascent,
+    term_tuples,
 )
 
 from cfdeform.analysis import enumerate_rationals
@@ -100,8 +101,8 @@ def test_walk_matches_step_ascent_on_single_terms(u, n):
 
 @pytest.mark.parametrize("u", WALK_MATRICES, ids=str)
 def test_walk_matches_step_ascent_on_mixed_expansions(u):
-    for terms in ([0, 1], [0, 3, 1, 4], [3, 7, 15, 1, 292], [2, 1, 2, 1, 1, 4, 1, 1, 6],
-                  [1] * 20, [64, 1, 65, 2], [5, 3, 1]):
+    for terms in [*term_tuples(10), [3, 7, 15, 1, 292], [2, 1, 2, 1, 1, 4, 1, 1, 6],
+                  [1] * 20, [64, 1, 65, 2]]:
         assert f_pair(u, terms) == step_ascent(u, terms), terms
 
 
@@ -145,7 +146,8 @@ def test_reciprocal_swaps_the_pair(terms, u):
 
 def test_level_cache_keeps_integer_and_symbolic_apart():
     # The constant-RingPoly matrix equals the integer one and hashes alike,
-    # yet it must compute in RingPoly; whichever runs first fills the cache.
+    # yet it must compute in RingPoly; the level cache keys on each matrix's
+    # own moves, whichever runs first.
     constant_one = UParams(C(1), 1, 1, 0)
     assert constant_one == U_NUM and hash(constant_one) == hash(U_NUM)
     x = Fraction(17, 31)
@@ -162,7 +164,7 @@ def test_level_cache_keeps_integer_and_symbolic_apart():
 def test_walk_rejects_invalid_terms_before_any_level(terms):
     before = level.cache_info()
     for call in (lambda: f_pair(U_SZERO_POLY, terms), lambda: f_pair(U_NUM, list(terms)),
-                 lambda: q_pair(terms), lambda: walk((U_NUM, U_CON), terms)):
+                 lambda: q_pair(terms), lambda: walk(U_CON.moves, terms)):
         with pytest.raises(DomainError):
             call()
     after = level.cache_info()
