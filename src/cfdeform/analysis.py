@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .contfrac import CFExpansion, StreamingCF, cf_expand, cf_value, j_rewrite, stabilized_series
+from .contfrac import CFExpansion, StreamingCF, cf_expand, cf_value, j_rewrite
 from .errors import DomainError
 from .exactnum import RingPoly, TruncatedSeries, series_of_ratfun
 from .udeform import (
@@ -30,6 +30,7 @@ from .udeform import (
     f_pair,
     j_quotient,
     level,
+    stabilized_series,
 )
 
 __all__ = [
@@ -196,19 +197,19 @@ def convergent_determinant(pairs: Sequence[FPair], k: int) -> RingPoly:
     return b.fx * a.finv - b.finv * a.fx
 
 
-# The one-variable families with a series, and where the agreement of their
-# last two convergents is proved (see contfrac.stabilized_series).
-_SERIES_PROVED = {U_SZERO_POLY: lambda terms: terms[0] >= 1, U_RZERO_POLY: lambda terms: False}
+# The one-variable families with a series, and whether the agreement of their
+# last two convergents is proved (see udeform.stabilized_series).
+_SERIES_PROVED = {U_SZERO_POLY: True, U_RZERO_POLY: False}
 
 
 def irrational_series(source, u: UParams, order: int) -> TruncatedSeries:
     """Taylor coefficients of a deformed irrational via its convergents.
 
-    Proved mode, (p,1;1,0) with a value at least 1: the last two convergent
-    expansions agree on the returned prefix by the determinant identity.
-    Heuristic mode, (p,1;0,1) or values below 1: agreement of the last two
-    convergents on all order+1 coefficients is demanded, and disagreement
-    raises StabilizationError carrying both series (never a silent return).
+    Proved mode, (p,1;1,0): the last two convergent expansions agree on the
+    returned prefix by the determinant identity.  Heuristic mode, (p,1;0,1):
+    agreement of the last two convergents on all order+1 coefficients is
+    demanded, and disagreement raises StabilizationError carrying both series
+    (never a silent return).
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
@@ -216,7 +217,7 @@ def irrational_series(source, u: UParams, order: int) -> TruncatedSeries:
         raise DomainError(
             "series extraction supports the one-variable families (p,1;1,0) and (p,1;0,1)"
         )
-    return stabilized_series(source, order, lambda terms: f_pair(u, terms), _SERIES_PROVED[u])
+    return stabilized_series(source, order, u.moves, _SERIES_PROVED[u])
 
 
 def stabilization_depth(prev_cf, cur_cf, order: int) -> int:

@@ -47,7 +47,7 @@ MAX_SWEEP_ELL = 20
 # Rational inputs: the cap bounds the walk, not eval's gcd reduction (ROADMAP item 1).
 # As 2-vCPU processes, eval of the cap input 7500744601/2498168990 takes about 3.7 s
 # under (p,1;0,1) but did not finish in 14 minutes under p,p,p,1, and eval of
-# 7811271/2582500 (term sum 210) under 1,p,p,p took 35 s and 58 s in two runs.
+# 7811271/2582500 (term sum 210) under 1,p,p,p took 35 s, 58 s and 65 s in three runs.
 MAX_TERM_SUM = 2000
 
 EXIT_OK = 0

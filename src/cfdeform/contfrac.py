@@ -1,10 +1,8 @@
 """Simple continued fractions over the positive rationals.
 
 Canonical expansions, exact reconstruction, the term-sum weight ``ell``,
-streaming term sources for the builtin irrational constants, the one
-routine that turns a source into a series by comparing its last two deformed
-convergents, and the involution x -> con(x)/con(1/x) as one rule on x's
-word of moves back to 1.
+streaming term sources for the builtin irrational constants, and the
+involution x -> con(x)/con(1/x) as one rule on x's word of moves back to 1.
 
 Text syntax (used by the CLI): a continued fraction is ``[2,1,2,1,1,4]``, a
 rational is ``p/q`` or a bare integer literal.
@@ -18,14 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import DomainError, StabilizationError, TermsExhaustedError
-from .exactnum import TruncatedSeries, series_of_ratfun
+from .errors import DomainError, TermsExhaustedError
 
 __all__ = [
     "CFExpansion",
     "StreamingCF",
     "PI_CF_TERMS",
-    "stabilized_series",
     "cf_expand",
     "cf_value",
     "ell",
@@ -212,50 +208,6 @@ class StreamingCF:
             yield from ts
 
         return cls(f"literal({list(ts)})", gen)
-
-
-def stabilized_series(source, order: int, pair: Callable, proved: Callable) -> TruncatedSeries:
-    """Coefficients 0..order of a deformed irrational from its convergents.
-
-    Pulls terms until a = terms[:-1] has term sum at least order + 2,
-    expands the (numerator, denominator) pairs ``pair(a)`` and
-    ``pair(terms)`` and demands that they agree.
-
-    Where ``proved(terms)`` holds, agreement is a theorem and a mismatch is
-    an internal error.  pair(a) = W (1, 1) and pair(terms) = W X Y^m (1, 1),
-    with W the word of a (sum(a) - 1 moves), X the move of a's last run and
-    Y the other one.  Every move of (p,1;1,0) and of q has determinant t, so
-    num_a den_b - num_b den_a = det(W) det((1, 1), X Y^m (1, 1)) is divisible
-    by t^(sum(a) - 1), where sum(a) - 1 >= order + 1; both denominators have
-    constant term 1, so the expansions agree through index order.  Under
-    (p,1;1,0) with a first term >= 1 the difference is +-p^sum(a)
-    (convergent_determinant).
-    Elsewhere a mismatch is the expected StabilizationError.
-    """
-    if isinstance(source, StreamingCF):
-        it, name = source.terms(), source.name
-    else:
-        it, name = iter(source), "terms"
-    terms: list[int] = []
-    while sum(terms[:-1]) < order + 2:
-        try:
-            terms.append(next(it))
-        except StopIteration:
-            raise TermsExhaustedError(
-                f"continued fraction terms exhausted: {name} cannot reach order {order}"
-            ) from None
-    prev = series_of_ratfun(pair(terms[:-1]), order)
-    last = series_of_ratfun(pair(terms), order)
-    if prev != last:
-        message = (
-            f"consecutive deformed convergents of {name} disagree at index "
-            f"{prev.agreement(last)} of order {order} (prefix sums "
-            f"{sum(terms[:-1])} and {sum(terms)}, {len(terms)} terms pulled)"
-        )
-        if proved(terms):
-            message = "internal error: " + message
-        raise StabilizationError(message, series_a=prev, series_b=last)
-    return last
 
 
 def convergents(src: StreamingCF | Sequence[int], count: int) -> list[Fraction]:

@@ -418,8 +418,7 @@ class RationalFunction:
 class TruncatedSeries:
     """Taylor expansion at the origin, truncated at a fixed order.
 
-    Coefficients are exact (ints or Fractions); arithmetic between two series
-    truncates to the smaller order.
+    Coefficients are exact (ints or Fractions).
     """
 
     __slots__ = ("coeffs",)
@@ -447,33 +446,6 @@ class TruncatedSeries:
         if order >= self.order:
             return self
         return TruncatedSeries(self.coeffs[: order + 1])
-
-    def __add__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        n = min(len(self.coeffs), len(other.coeffs))
-        return TruncatedSeries(self.coeffs[i] + other.coeffs[i] for i in range(n))
-
-    def __sub__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        n = min(len(self.coeffs), len(other.coeffs))
-        return TruncatedSeries(self.coeffs[i] - other.coeffs[i] for i in range(n))
-
-    def __mul__(self, other):
-        if not isinstance(other, TruncatedSeries):
-            return NotImplemented
-        n = min(len(self.coeffs), len(other.coeffs))
-        out = [0] * n
-        for i in range(n):
-            a = self.coeffs[i]
-            if a == 0:
-                continue
-            for j in range(n - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return TruncatedSeries(out)
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):

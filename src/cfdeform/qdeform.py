@@ -16,9 +16,9 @@ matrix at p = 1/q (t -> t/(t + 1/q) against t -> t/(t + p)).
 
 from __future__ import annotations
 
-from .contfrac import StreamingCF, stabilized_series
+from .contfrac import StreamingCF
 from .exactnum import RationalFunction, RingPoly, TruncatedSeries, series_of_ratfun
-from .udeform import FPair, Move, walk
+from .udeform import FPair, Move, stabilized_series, walk
 
 __all__ = ["Q_MOVES", "q_int", "q_pair", "q_deform", "q_deform_series"]
 
@@ -58,12 +58,13 @@ def q_deform(cf) -> RationalFunction:
 def q_deform_series(source, order: int) -> TruncatedSeries:
     """Taylor coefficients of the q-deformation at q = 0.
 
-    Finite expansions (or rationals) expand exactly; streaming sources pull
-    the proved number of terms (contfrac.stabilized_series) and check that
-    the last two prefix deformations agree on all order+1 coefficients.
+    Finite expansions (or rationals) expand exactly; streaming sources walk
+    Q_MOVES through the proved number of terms (udeform.stabilized_series)
+    and check that the last two prefix deformations agree on all order+1
+    coefficients.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     if isinstance(source, StreamingCF):
-        return stabilized_series(source, order, q_pair, lambda terms: True)
+        return stabilized_series(source, order, Q_MOVES, True)
     return series_of_ratfun(q_pair(source), order)

@@ -10,20 +10,29 @@ on the positive rationals.  The deformation of x is the quotient
 f(x) / f(1/x).  Entries may be integers or polynomials in one formal
 variable; the recursion is the same either way.  Every positive rational
 is one word in the moves x -> 1 + x and x -> x / (1 + x), which act on the
-pair (f(x), f(1/x)) as the matrices (p q; s r) and (r s; q p).
+pair (f(x), f(1/x)) as the matrices (p q; s r) and (r s; q p).  The walk of
+two moves also gives the series of an irrational, from its last two
+convergents (stabilized_series).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .contfrac import CFExpansion, cf_expand
-from .errors import DegenerateParametersError, DomainError, EvaluationError
-from .exactnum import RationalFunction, RingPoly
+from .contfrac import CFExpansion, StreamingCF, cf_expand
+from .errors import (
+    DegenerateParametersError,
+    DomainError,
+    EvaluationError,
+    StabilizationError,
+    TermsExhaustedError,
+)
+from .exactnum import RationalFunction, RingPoly, TruncatedSeries, series_of_ratfun
 
 __all__ = [
     "UParams",
@@ -37,6 +46,7 @@ __all__ = [
     "U_RZERO_POLY",
     "level",
     "walk",
+    "stabilized_series",
     "f_pair",
     "quantize",
     "codenominator",
@@ -66,17 +76,32 @@ class FPair(NamedTuple):
         return Fraction(self.fx, self.finv)
 
 
+_MOVES = weakref.WeakValueDictionary()
+
+
 class Move:
     """The matrix (a b; c d) of one move, acting on a pair as
     (x, y) -> (a x + b y, c x + d y).  Its entries are all RingPoly if any
-    is and ints otherwise, and ``one`` is the unit of their ring.  A move
-    hashes by identity, so looking up its cached powers hashes no polynomial."""
+    is and ints otherwise, and ``one`` is the unit of their ring.  While a
+    move is alive there is no other with its ring and entries, unpickled ones
+    included, so equal matrices share their cached powers, and a move hashes
+    by identity: looking those powers up hashes no polynomial."""
 
-    __slots__ = ("entries", "one")
+    __slots__ = ("entries", "one", "__weakref__")
 
-    def __init__(self, *entries):
-        self.one = RingPoly.constant(1) if any(isinstance(v, RingPoly) for v in entries) else 1
-        self.entries = tuple(v * self.one for v in entries)
+    def __new__(cls, *entries):
+        one = RingPoly.constant(1) if any(isinstance(v, RingPoly) for v in entries) else 1
+        entries = tuple(v * one for v in entries)
+        # The ring is part of the key: a constant RingPoly equals its int.
+        key = (type(one), entries)
+        move = _MOVES.get(key)
+        if move is None:
+            move = _MOVES[key] = object.__new__(cls)
+            move.entries, move.one = entries, one
+        return move
+
+    def __reduce__(self):
+        return Move, self.entries
 
 
 @dataclass(frozen=True)
@@ -186,6 +211,51 @@ def walk(moves: tuple[Move, Move], x) -> FPair:
         a, b, c, d = level(moves[i % 2], terms[i] - (i == last))
         fx, finv = a * fx + b * finv, c * fx + d * finv
     return FPair(fx, finv)
+
+
+def stabilized_series(
+    source, order: int, moves: tuple[Move, Move], proved: bool
+) -> TruncatedSeries:
+    """Coefficients 0..order of a deformed irrational from its convergents.
+
+    Pulls terms until a = terms[:-1] has term sum at least order + 2, walks
+    ``moves`` along a and along terms, expands both pairs and demands that
+    they agree.
+
+    Where ``proved``, agreement is a theorem and a mismatch is an internal
+    error.  The pairs are W (1, 1) and W X Y^m (1, 1), with W the word of a
+    (sum(a) - 1 moves), X the move of a's last run and Y the other one.
+    Every move of (p,1;1,0) and of q has determinant t, so num_a den_b -
+    num_b den_a = det(W) det((1, 1), X Y^m (1, 1)) is divisible by
+    t^(sum(a) - 1), where sum(a) - 1 >= order + 1.  At t = 0 every such move
+    keeps the denominator of (1, 1) at 1, whatever the first term, so both
+    expansions agree through index order.  Elsewhere a mismatch is the
+    expected StabilizationError.
+    """
+    if isinstance(source, StreamingCF):
+        it, name = source.terms(), source.name
+    else:
+        it, name = iter(source), "terms"
+    terms: list[int] = []
+    while sum(terms[:-1]) < order + 2:
+        try:
+            terms.append(next(it))
+        except StopIteration:
+            raise TermsExhaustedError(
+                f"continued fraction terms exhausted: {name} cannot reach order {order}"
+            ) from None
+    prev = series_of_ratfun(walk(moves, terms[:-1]), order)
+    last = series_of_ratfun(walk(moves, terms), order)
+    if prev != last:
+        message = (
+            f"consecutive deformed convergents of {name} disagree at index "
+            f"{prev.agreement(last)} of order {order} (prefix sums "
+            f"{sum(terms[:-1])} and {sum(terms)}, {len(terms)} terms pulled)"
+        )
+        if proved:
+            message = "internal error: " + message
+        raise StabilizationError(message, series_a=prev, series_b=last)
+    return last
 
 
 def f_pair(u: UParams, x) -> FPair:

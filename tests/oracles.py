@@ -8,6 +8,7 @@ reference recursions at the end compute step by step what the package
 computes from cached level matrices.
 """
 
+import itertools
 from fractions import Fraction
 
 from cfdeform.exactnum import RingPoly
@@ -148,6 +149,25 @@ def q_moves_oracle(max_ell):
         table.update(nxt)
         depth = nxt
     return table
+
+
+def matrix_grid():
+    """The 324 nondegenerate matrices with entries in {-1, 0, 1, 2, p} that
+    contain p, as ``--u`` texts "p,q,r,s" in a fixed order.  An entry is
+    (constant, coefficient of p), and q*s - r*p is compared coefficientwise."""
+
+    def linear(entry):
+        return (0, 1) if entry == "p" else (int(entry), 0)
+
+    def times(a, b):
+        return a[0] * b[0], a[0] * b[1] + a[1] * b[0], a[1] * b[1]
+
+    grid = []
+    for entries in itertools.product(("-1", "0", "1", "2", "p"), repeat=4):
+        p, q, r, s = map(linear, entries)
+        if "p" in entries and times(q, s) != times(r, p):
+            grid.append(",".join(entries))
+    return grid
 
 
 def step_ascent(u, terms):

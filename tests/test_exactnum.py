@@ -237,13 +237,11 @@ def test_series_fractional_path_detects_nonintegrality():
     assert constant_half.is_integral() == (False, 0)
 
 
-def test_series_arithmetic_truncates_to_min_order():
+def test_series_truncate_keeps_the_leading_coefficients():
     a = TruncatedSeries([1, 2, 3, 4])
-    b = TruncatedSeries([1, 1])
-    assert (a + b).order == 1
-    assert list(a + b) == [2, 3]
-    assert list(a * b) == [1, 3]
-    assert (a - a.truncate(2)).order == 2
+    assert a.truncate(2) == TruncatedSeries([1, 2, 3])
+    assert a.truncate(0).order == 0
+    assert a.truncate(3) is a and a.truncate(9) is a
 
 
 def test_fraction_constructor_invariants():
