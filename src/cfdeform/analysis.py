@@ -15,7 +15,7 @@ import itertools
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .contfrac import CFExpansion, StreamingCF, cf_expand, cf_value, j_rewrite
 from .errors import DomainError
@@ -122,7 +122,7 @@ class PropertyReport:
 
 
 # ---------------------------------------------------------------------------
-# The breadth-first walk: enumeration, oracle and the sweeps' inputs
+# The breadth-first walk: enumeration and oracle
 
 
 def _walk(u: UParams, max_ell: int) -> Iterator[list[tuple[Fraction, FPair]]]:
@@ -366,17 +366,15 @@ def e_series_parity_report(order: int = 38) -> PropertyReport:
 # Bounded sweeps (the check harness)
 
 
-def _px_defining_equations(u: UParams, x: Fraction, pair: FPair, order: int) -> dict | None:
-    # Checks f_pair against its own values, so the walk's pair is not used.
-    p, q, r, s = u.entries()
-    fx, finv = f_pair(u, x)
-    up = f_pair(u, 1 + x)
+def _px_defining_equations(u: UParams, x: Fraction, pairs: tuple, order: int) -> dict | None:
+    # pairs: f_pair at x, 1 + x, x/(1 + x) and 2 + x; the relations derive the
+    # last three from the first, so f_pair is checked against itself.
+    p, q, s, r = u.moves[0].entries
+    (fx, finv), up, down, two_up = pairs
     if up.fx != p * fx + q * finv:
         return {"x": str(x), "relation": "step-up"}
-    down = f_pair(u, x / (1 + x))
     if down.fx != r * fx + s * finv:
         return {"x": str(x), "relation": "step-down"}
-    two_up = f_pair(u, 2 + x)
     if two_up.fx != p * up.fx + q * r * finv + q * s * fx:
         return {"x": str(x), "relation": "double-step"}
     return None
@@ -407,7 +405,7 @@ def _px_alternation(u: UParams, x: Fraction, pair: FPair, order: int) -> dict | 
     return None
 
 
-def _px_stabilization(u: UParams, x: Fraction, pair: FPair, order: int) -> dict | None:
+def _px_stabilization(u: UParams, x: Fraction, _: None, order: int) -> dict | None:
     terms = cf_expand(x).terms
     if terms[0] == 0 or len(terms) < 2:
         return None
@@ -437,10 +435,53 @@ def _px_oracle_equivalence(u: UParams, x: Fraction, pair: FPair, order: int) -> 
     return None if f_pair(u, x) == pair else {"x": str(x)}
 
 
+# What the walk hands a row beside each input.  A feed gives the value at 1
+# and step(value, up, y): the value at the child y of the input holding
+# value, reached by the up move (y = 1 + x) or the down move (y = x/(1 + x)).
+
+
+def _pair_feed(u: UParams):
+    """The input's pair, the child's by one move on its parent's: the update
+    rules of the defining equations, independent of f_pair."""
+    p, q, r, s = u.entries()
+
+    def step(pair, up, y):
+        fx, finv = pair
+        if up:
+            return FPair(p * fx + q * finv, s * fx + r * finv)
+        return FPair(r * fx + s * finv, q * fx + p * finv)
+
+    return FPair(u.moves[0].one, u.moves[0].one), step
+
+
+def _neighbour_feed(u: UParams):
+    """f_pair at the input y and at 1 + y, y/(1 + y) and 2 + y.  A child keeps
+    what its parent computed (the up child f(1 + x) and f(2 + x), the down
+    child f(x/(1 + x))), so a sweep to term sum ell calls f_pair
+    5 * 2**(ell - 1) - 1 times, once per value."""
+
+    def neighbours(y, known):
+        ys = (y, 1 + y, y / (1 + y), 2 + y)
+        return known + tuple(f_pair(u, z) for z in ys[len(known) :])
+
+    def step(pairs, up, y):
+        return neighbours(y, pairs[1::2] if up else pairs[2:3])
+
+    return neighbours(Fraction(1), ()), step
+
+
+def _no_feed(u: UParams):
+    return None, lambda value, up, y: None
+
+
+_FEEDS = {"pair": _pair_feed, "neighbours": _neighbour_feed, "none": _no_feed}
+
+
 class _Property(NamedTuple):
     """One row of the sweep table."""
 
-    check: Callable[[UParams, Fraction, FPair, int], dict | None]  # (u, x, walk's pair, order)
+    check: Callable[[UParams, Fraction, object, int], dict | None]  # (u, x, fed value, order)
+    feed: str  # the value check reads beside x: a key of _FEEDS
     u: UParams  # the default matrix
     matrix: str  # what the sweep asks of a matrix: "any", "symbolic" or "fixed" (only u)
     observation: bool  # empirical: reported, never asserted, exit code stays zero
@@ -448,33 +489,73 @@ class _Property(NamedTuple):
 
 
 _SWEPT = ("max_ell", "u")
+_ORDERED = (*_SWEPT, "order")
 PROPERTIES: dict[str, _Property] = {
-    "defining-equations": _Property(_px_defining_equations, U_SZERO_POLY, "any", False, _SWEPT),
-    "integrality": _Property(_px_integrality, U_SZERO_POLY, "symbolic", False, (*_SWEPT, "order")),
-    "unimodality": _Property(_px_unimodality, U_SZERO_POLY, "symbolic", True, _SWEPT),
-    "anti-unimodality": _Property(_px_anti_unimodality, U_RZERO_POLY, "symbolic", True, _SWEPT),
-    "alternation": _Property(_px_alternation, U_SZERO_POLY, "symbolic", True, (*_SWEPT, "order")),
-    "stabilization": _Property(_px_stabilization, U_SZERO_POLY, "fixed", False, _SWEPT),
-    "involution": _Property(_px_involution, U_CON, "fixed", False, _SWEPT),
-    "oracle-equivalence": _Property(_px_oracle_equivalence, U_SZERO_POLY, "any", False, ()),
+    "defining-equations": _Property(
+        _px_defining_equations, "neighbours", U_SZERO_POLY, "any", False, _SWEPT
+    ),
+    "integrality": _Property(_px_integrality, "pair", U_SZERO_POLY, "symbolic", False, _ORDERED),
+    "unimodality": _Property(_px_unimodality, "pair", U_SZERO_POLY, "symbolic", True, _SWEPT),
+    "anti-unimodality": _Property(
+        _px_anti_unimodality, "pair", U_RZERO_POLY, "symbolic", True, _SWEPT
+    ),
+    "alternation": _Property(_px_alternation, "pair", U_SZERO_POLY, "symbolic", True, _ORDERED),
+    "stabilization": _Property(_px_stabilization, "none", U_SZERO_POLY, "fixed", False, _SWEPT),
+    "involution": _Property(_px_involution, "pair", U_CON, "fixed", False, _SWEPT),
+    "oracle-equivalence": _Property(
+        _px_oracle_equivalence, "pair", U_SZERO_POLY, "any", False, ()
+    ),
 }
 
 PROPERTY_NAMES = tuple(PROPERTIES)
 OBSERVATION_PROPERTIES = frozenset(name for name, row in PROPERTIES.items() if row.observation)
 
 
-def _chunk_worker(name: str, u: UParams, items: Iterable, order: int) -> tuple[int, dict | None]:
+def _sweep_subtree(
+    name: str, u: UParams, order: int, limit: int, depth: int, pos: int
+) -> tuple[int, tuple[int, dict | str] | None]:
+    """Run one row depth-first over the subtree rooted at the input (depth, pos),
+    down to term sum ``limit``.
+
+    The tree is the Calkin-Wilf tree: n/m has the children (n + m)/m (up,
+    position 2 pos) and n/(n + m) (down, 2 pos + 1), so depth is term sum and
+    (depth, pos) has the breadth-first index 2**(depth - 1) - 1 + pos.  Up is
+    walked first, so each depth is met in breadth-first order; after a
+    failure at depth d every input still ahead at depth d or deeper comes
+    later, and the walk stays above d.  Returns the inputs checked and the
+    earliest failure as (index, violation), or (index, message) for a row
+    error.  The stack holds at most two entries per depth.
+    """
     check = PROPERTIES[name].check
-    count = 0
-    for x, pair in items:
+    value, step = _FEEDS[PROPERTIES[name].feed](u)
+    # The root's word of moves is pos in depth - 1 bits, the first move highest.
+    n = m = 1
+    up = None
+    for bit in range(depth - 2, -1, -1):
+        if up is not None:
+            value = step(value, up, Fraction(n, m))
+        up = not pos >> bit & 1
+        n, m = (n + m, m) if up else (n, n + m)
+    stack = [(depth, pos, n, m, value, up)]
+    count, best = 0, None
+    while stack:
+        depth, pos, n, m, value, up = stack.pop()
+        if depth > limit:
+            continue
         count += 1
+        x = Fraction(n, m)
         try:
-            violation = check(u, x, pair, order)
+            if up is not None:
+                value = step(value, up, x)
+            failure = check(u, x, value, order)
         except (DomainError, ZeroDivisionError) as exc:
-            raise DomainError(f"{name} at x = {x}: {exc}") from None
-        if violation is not None:
-            return count, violation
-    return count, None
+            failure = f"{name} at x = {x}: {exc}"
+        if failure is not None:
+            best, limit = (2 ** (depth - 1) - 1 + pos, failure), depth - 1
+        elif depth < limit:
+            stack.append((depth + 1, 2 * pos + 1, n, n + m, value, False))
+            stack.append((depth + 1, 2 * pos, n + m, m, value, True))
+    return count, best
 
 
 def run_property_sweep(
@@ -482,10 +563,12 @@ def run_property_sweep(
 ) -> PropertyReport:
     """Run one named property over every rational with bounded term sum.
 
-    The inputs and their pairs come from one breadth-first walk (see
-    ``bfs_oracle``).  Results are independent of ``jobs``: the workers take
-    the walk's depths in slices, a bounded number at a time, and the first
-    counterexample in walk order is kept.
+    One depth-first walk of the Calkin-Wilf tree (see ``_sweep_subtree``)
+    hands each row what it reads, carried from parent to child.  The report
+    is the one of a breadth-first walk that stops at its first violation or
+    row error (see ``bfs_oracle``), whatever ``jobs`` is: with workers, the
+    depths above k run here and each worker walks whole subtrees rooted at
+    depth k, about four per worker, a bounded number queued at a time.
     """
     if max_ell < 1:
         raise DomainError(f"max_ell must be at least 1, got {max_ell}")
@@ -498,35 +581,36 @@ def run_property_sweep(
         raise DomainError(f"the {name} sweep needs a symbolic matrix, e.g. p,1,1,0")
     if row.matrix == "fixed" and u != row.u:
         raise DomainError(f"the {name} sweep is stated for {row.u} only, not {u}")
-    total = 2**max_ell - 1
-    workers = min(jobs, os.cpu_count() or 1, total)
-    if workers <= 1:
-        inputs = itertools.chain.from_iterable(_walk(u, max_ell))
-        tested, violation = _chunk_worker(name, u, inputs, order)
-    else:
+    workers = min(jobs, os.cpu_count() or 1, 2**max_ell - 1)
+    k = min(max_ell, 1 + (4 * workers - 1).bit_length()) if workers > 1 else max_ell + 1
+    count, best = _sweep_subtree(name, u, order, k - 1, 1, 0)
+    if best is None and k <= max_ell:
         # Imported here: the pool drags in logging, which serial runs never need.
         import concurrent.futures
 
-        # Four tasks per worker, of at most 1024 inputs: a queued task is a pickled copy.
-        size = min(-(-total // (workers * 4)), 1024)
-        chunks = (d[i : i + size] for d in _walk(u, max_ell) for i in range(0, len(d), size))
+        roots = iter(range(2 ** (k - 1)))
         queued = collections.deque()
-        tested, violation = 0, None
+        limit = max_ell
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             try:
-                while violation is None:
-                    for chunk in itertools.islice(chunks, 2 * workers - len(queued)):
-                        queued.append(pool.submit(_chunk_worker, name, u, chunk, order))
+                while limit >= k:
+                    for pos in itertools.islice(roots, 2 * workers - len(queued)):
+                        queued.append(pool.submit(_sweep_subtree, name, u, order, limit, k, pos))
                     if not queued:
                         break
-                    count, violation = queued.popleft().result()
-                    tested += count
-            finally:  # after a violation or an error, drop the queued chunks
+                    n, found = queued.popleft().result()
+                    count += n
+                    if found is not None and (best is None or found[0] < best[0]):
+                        best, limit = found, (found[0] + 1).bit_length() - 1
+            finally:  # a failed root at depth k leaves only later subtrees queued
                 for future in queued:
                     future.cancel()
+    index, violation = best or (count - 1, None)
+    if isinstance(violation, str):
+        raise DomainError(violation)
     known = {"max_ell": max_ell, "u": str(u), "order": order}
     details = {key: known[key] for key in row.details}
-    return PropertyReport(name, violation is None, violation, tested, details)
+    return PropertyReport(name, violation is None, violation, index + 1, details)
 
 
 def observation_report(max_ell: int = 12, order: int = 20) -> dict:

@@ -11,7 +11,10 @@ computes from cached level matrices.
 import itertools
 from fractions import Fraction
 
+from cfdeform import analysis
+from cfdeform.errors import DomainError
 from cfdeform.exactnum import RingPoly
+from cfdeform.udeform import f_pair
 
 # --- Solution polynomials of the (p,1;1,0) family, f(x) by x -----------------
 # Verified by hand against the defining equations for several rows.
@@ -197,3 +200,29 @@ def classical_convergents(terms):
         s_prev, s_cur = s_cur, qk * s_cur + lift * s_prev
         out.append((r_cur, s_cur))
     return out
+
+
+def bfs_sweep(name, u, max_ell, order=20):
+    """A sweep's report the slow way: the row's check on each input of
+    bfs_oracle in breadth-first order, up to the first violation or row
+    error.  A row that reads f_pair at x, 1 + x, x/(1 + x) and 2 + x gets
+    the four calls; a row that reads a pair gets the oracle's."""
+    row = analysis.PROPERTIES[name]
+    tested, violation = 0, None
+    for x, pair in analysis.bfs_oracle(u, max_ell).items():
+        tested += 1
+        fed = {"pair": pair, "none": None}.get(row.feed)
+        if row.feed == "neighbours":
+            fed = tuple(f_pair(u, y) for y in (x, 1 + x, x / (1 + x), 2 + x))
+        try:
+            violation = row.check(u, x, fed, order)
+        except (DomainError, ZeroDivisionError) as exc:
+            raise DomainError(f"{name} at x = {x}: {exc}") from None
+        if violation is not None:
+            break
+    report = {"property": name, "holds": violation is None,
+              "counterexample": violation, "tested": tested}
+    known = {"max_ell": max_ell, "u": str(u), "order": order}
+    if row.details:
+        report["details"] = {key: known[key] for key in row.details}
+    return report

@@ -2,6 +2,7 @@ import concurrent.futures
 import json
 import os
 import pickle
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,8 +13,10 @@ from oracles import (
     GOLDEN_SERIES_20,
     PI_SERIES_40,
     Q_GOLDEN_SERIES_21,
+    bfs_sweep,
     classical_convergents,
     enumerate_by_moves,
+    matrix_grid,
 )
 
 from cfdeform import analysis, udeform
@@ -439,41 +442,152 @@ def test_parallel_sweep_clamps_worker_count(monkeypatch, inline_pool):
     assert report.holds and report.tested == 2**6 - 1
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     run_property_sweep("defining-equations", U_SZERO_POLY, 2, jobs=64)
-    assert inline_pool[-1].max_workers == 3  # three rationals, three chunks
+    assert inline_pool[-1].max_workers == 3  # three rationals: 1 here, 2 and 1/2 as subtrees
+    assert len(inline_pool[-1].futures) == 2
     run_property_sweep("defining-equations", U_SZERO_POLY, 1, jobs=64)
     assert len(inline_pool) == 2  # one rational runs in this process
 
 
-def test_parallel_sweep_cancels_queued_chunks(monkeypatch, inline_pool):
+def _stub_f_pair(monkeypatch, bad, raises):
+    """f_pair, wrong or raising at the inputs in ``bad``."""
+
+    def stub(u, x):
+        if x not in bad:
+            return f_pair(u, x)
+        if raises:
+            raise ZeroDivisionError("stub pole")
+        return FPair(0, 0)
+
+    monkeypatch.setattr("cfdeform.analysis.f_pair", stub)
+
+
+def _outcome(name, u, max_ell, **kwargs):
+    try:
+        return run_property_sweep(name, u, max_ell, **kwargs).as_dict()
+    except DomainError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["wrong", "raises"])
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "bad, first",
+    [
+        # 6 (depth 6) is reached before 1/2 (depth 2); 1/2 is above the subtrees.
+        ((Fraction(6), Fraction(1, 2)), Fraction(1, 2)),
+        # 6 is in the first subtree at depth 4, 1/5 (depth 5) in the last.
+        ((Fraction(6), Fraction(1, 5)), Fraction(1, 5)),
+        # 15/4 (depth 7) is in the second subtree, queued before 6 failed.
+        ((Fraction(6), Fraction(15, 4)), Fraction(6)),
+    ],
+    ids=["above", "across", "below"],
+)
+def test_the_first_failure_in_breadth_first_order_wins(
+    monkeypatch, inline_pool, bad, first, jobs, raises
+):
+    _stub_f_pair(monkeypatch, set(bad), raises)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    position = [x for x, _ in enumerate_rationals(7)].index(first) + 1
+    if raises:
+        expected = f"oracle-equivalence at x = {first}: stub pole"
+    else:
+        expected = {
+            "property": "oracle-equivalence",
+            "holds": False,
+            "counterexample": {"x": str(first)},
+            "tested": position,
+        }
+    assert _outcome("oracle-equivalence", U_SZERO_POLY, 7, jobs=jobs) == expected
+    assert position == {Fraction(1, 2): 3, Fraction(1, 5): 31, Fraction(6): 32}[first]
+    if jobs > 1 and first == Fraction(1, 5):
+        # Eight subtrees at depth 4, four queued at a time: those queued after
+        # the failure at depth 6 stop above it.
+        assert [f.args[3] for f in inline_pool[-1].futures] == [7] * 4 + [5] * 4
+
+
+def test_defining_equations_computes_each_value_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(
+        "cfdeform.analysis.f_pair", lambda u, x: calls.append(x) or f_pair(u, x)
+    )
+    report = run_property_sweep("defining-equations", U_SZERO_POLY, 8)
+    assert report.holds and report.tested == 2**8 - 1
+    assert len(calls) == len(set(calls)) == 5 * 2**7 - 1 == 639
+
+
+def test_sweep_memory_does_not_grow_with_the_tree():
+    # The level cache is filled first, so the peaks are the walks' own.
+    run_property_sweep("oracle-equivalence", U_CON, 14)
+    tracemalloc.start()
+    try:
+        run_property_sweep("oracle-equivalence", U_CON, 10)
+        small = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        run_property_sweep("oracle-equivalence", U_CON, 14)
+        large = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert large <= 2 * small
+
+
+def _third_root_fails(monkeypatch, raises):
+    # Four workers: sixteen subtrees rooted at depth 5, eight queued at a
+    # time.  The third root fails, so the seven queued after it cannot hold
+    # an earlier input.
+    root = enumerate_rationals(5)[2**4 - 1 + 2][0]
+    _stub_f_pair(monkeypatch, {root}, raises)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
-    report = run_property_sweep("anti-unimodality", U_RZERO_POLY, 8, jobs=4)
-    assert report.counterexample["x"] == "3/2"
-    futures = inline_pool[-1].futures
-    first_bad = max(i for i, f in enumerate(futures) if f.ran)
-    assert first_bad < len(futures) - 1
-    assert all(f.cancelled for f in futures[first_bad + 1 :])
+    return root, _outcome("oracle-equivalence", U_SZERO_POLY, 8, jobs=4)
+
+
+def _assert_cancelled_after_third(pool):
+    assert [f.ran for f in pool.futures] == [True] * 3 + [False] * 7
+    assert all(f.cancelled for f in pool.futures[3:])
+
+
+def test_parallel_sweep_cancels_queued_chunks(monkeypatch, inline_pool):
+    root, outcome = _third_root_fails(monkeypatch, raises=False)
+    assert outcome["counterexample"] == {"x": str(root)}
+    assert outcome["tested"] == 2**4 - 1 + 3
+    _assert_cancelled_after_third(inline_pool[-1])
 
 
 def test_parallel_sweep_error_names_the_input_and_cancels_queued_chunks(
     monkeypatch, inline_pool
 ):
-    # Under (p,p;1,0), x = 1/2 has the pair (1, 2p): a pole, in the second chunk.
+    # Under (p,p;1,0), x = 1/2 has the pair (1, 2p): a pole above the
+    # subtrees, so the pool never starts.
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     with pytest.raises(DomainError, match=r"^integrality at x = 1/2: no Taylor expansion"):
         run_property_sweep("integrality", UParams.parse("p,p,1,0"), 8, jobs=4)
-    futures = inline_pool[-1].futures
-    assert [f.ran for f in futures[:3]] == [True, True, False]
-    assert all(f.cancelled for f in futures[2:])
+    assert not inline_pool
+    root, outcome = _third_root_fails(monkeypatch, raises=True)
+    assert outcome == f"oracle-equivalence at x = {root}: stub pole"
+    _assert_cancelled_after_third(inline_pool[-1])
 
 
-@pytest.mark.parametrize("name", list(PROPERTIES))
-def test_chunked_sweep_matches_serial(monkeypatch, inline_pool, name):
+def _oracle_cases():
+    grid = matrix_grid()
+    for name, row in PROPERTIES.items():
+        yield pytest.param(name, row.u, id=name)
+        if row.matrix == "any":
+            for text in (grid[0], grid[len(grid) // 2]):
+                yield pytest.param(name, UParams.parse(text), id=f"{name}-{text}")
+
+
+@pytest.mark.parametrize("name, u", _oracle_cases())
+def test_chunked_sweep_matches_serial(monkeypatch, inline_pool, name, u):
+    # Serial and subtree runs both equal the breadth-first loop over bfs_oracle.
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    u = PROPERTIES[name].u
-    serial = run_property_sweep(name, u, 8, order=10)
-    chunked = run_property_sweep(name, u, 8, order=10, jobs=2)
-    assert len(inline_pool[-1].futures) > 1
-    assert chunked.as_dict() == serial.as_dict()
+    for max_ell in range(1, 9):
+        expected = bfs_sweep(name, u, max_ell, order=10)
+        assert run_property_sweep(name, u, max_ell, order=10).as_dict() == expected
+        pools = len(inline_pool)
+        assert run_property_sweep(name, u, max_ell, order=10, jobs=2).as_dict() == expected
+    # At ell 8 the pool walks the subtrees rooted at depth 4, unless a failure above stops it.
+    assert len(inline_pool) - pools == (expected["tested"] > 2**3 - 1)
+    if len(inline_pool) > pools:
+        assert len(inline_pool[-1].futures) > 1
 
 
 def test_oracle_equivalence_reports_the_first_wrong_pair(monkeypatch, inline_pool):
