@@ -53,7 +53,6 @@ __all__ = [
     "observation_report",
     "PROPERTIES",
     "PROPERTY_NAMES",
-    "OBSERVATION_PROPERTIES",
     "run_property_sweep",
 ]
 
@@ -508,7 +507,6 @@ PROPERTIES: dict[str, _Property] = {
 }
 
 PROPERTY_NAMES = tuple(PROPERTIES)
-OBSERVATION_PROPERTIES = frozenset(name for name, row in PROPERTIES.items() if row.observation)
 
 
 def _sweep_subtree(
@@ -568,7 +566,9 @@ def run_property_sweep(
     is the one of a breadth-first walk that stops at its first violation or
     row error (see ``bfs_oracle``), whatever ``jobs`` is: with workers, the
     depths above k run here and each worker walks whole subtrees rooted at
-    depth k, about four per worker, a bounded number queued at a time.
+    depth k, at least four per worker and none deeper than 13 depths
+    (8,191 inputs), two per worker queued at a time.  After a failure in a
+    subtree at most 2 * workers - 1 others run on.
     """
     if max_ell < 1:
         raise DomainError(f"max_ell must be at least 1, got {max_ell}")
@@ -582,7 +582,10 @@ def run_property_sweep(
     if row.matrix == "fixed" and u != row.u:
         raise DomainError(f"the {name} sweep is stated for {row.u} only, not {u}")
     workers = min(jobs, os.cpu_count() or 1, 2**max_ell - 1)
-    k = min(max_ell, 1 + (4 * workers - 1).bit_length()) if workers > 1 else max_ell + 1
+    if workers > 1:
+        k = min(max_ell, max(1 + (4 * workers - 1).bit_length(), max_ell - 12))
+    else:
+        k = max_ell + 1
     count, best = _sweep_subtree(name, u, order, k - 1, 1, 0)
     if best is None and k <= max_ell:
         # Imported here: the pool drags in logging, which serial runs never need.

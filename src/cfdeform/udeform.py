@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -76,32 +75,16 @@ class FPair(NamedTuple):
         return Fraction(self.fx, self.finv)
 
 
-_MOVES = weakref.WeakValueDictionary()
-
-
 class Move:
     """The matrix (a b; c d) of one move, acting on a pair as
     (x, y) -> (a x + b y, c x + d y).  Its entries are all RingPoly if any
-    is and ints otherwise, and ``one`` is the unit of their ring.  While a
-    move is alive there is no other with its ring and entries, unpickled ones
-    included, so equal matrices share their cached powers, and a move hashes
-    by identity: looking those powers up hashes no polynomial."""
+    is and ints otherwise, and ``one`` is the unit of their ring."""
 
-    __slots__ = ("entries", "one", "__weakref__")
+    __slots__ = ("entries", "one")
 
-    def __new__(cls, *entries):
-        one = RingPoly.constant(1) if any(isinstance(v, RingPoly) for v in entries) else 1
-        entries = tuple(v * one for v in entries)
-        # The ring is part of the key: a constant RingPoly equals its int.
-        key = (type(one), entries)
-        move = _MOVES.get(key)
-        if move is None:
-            move = _MOVES[key] = object.__new__(cls)
-            move.entries, move.one = entries, one
-        return move
-
-    def __reduce__(self):
-        return Move, self.entries
+    def __init__(self, *entries):
+        self.one = RingPoly.constant(1) if any(isinstance(v, RingPoly) for v in entries) else 1
+        self.entries = tuple(v * self.one for v in entries)
 
 
 @dataclass(frozen=True)

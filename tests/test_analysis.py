@@ -1,5 +1,6 @@
 import concurrent.futures
 import json
+import multiprocessing
 import os
 import pickle
 import tracemalloc
@@ -609,6 +610,43 @@ def test_oracle_equivalence_reports_the_first_wrong_pair(monkeypatch, inline_poo
         "tested": position,
     }
     assert serial.as_dict() == chunked.as_dict() == expected
+
+
+def test_deep_sweeps_root_their_subtrees_deeper(monkeypatch, inline_pool):
+    # At ell 18 the roots sit at depth 18 - 12 = 6, so no subtree holds more
+    # than 2**13 - 1 inputs and a failure at depth 4 stops before the pool.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    u = UParams.parse("2,-1,1,3")
+    _stub_f_pair(monkeypatch, {Fraction(4)}, False)
+    assert _outcome("oracle-equivalence", u, 18, jobs=2)["counterexample"] == {"x": "4"}
+    assert not inline_pool
+    first_root = enumerate_rationals(6)[2**5 - 1][0]
+    _stub_f_pair(monkeypatch, {first_root}, False)
+    assert _outcome("oracle-equivalence", u, 18, jobs=2)["tested"] == 2**5
+    assert {f.args[4] for f in inline_pool[-1].futures} == {6}
+
+
+def test_parallel_sweep_matches_serial_in_spawned_workers(monkeypatch):
+    # Fresh interpreters rebuild the matrix, its entry types and its moves.
+    spawn = multiprocessing.get_context("spawn")
+    real = concurrent.futures.ProcessPoolExecutor
+    pools = []
+
+    def spawned_pool(max_workers):
+        pools.append(max_workers)
+        return real(max_workers=max_workers, mp_context=spawn)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawned_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    cases = [
+        ("integrality", UParams.parse("p,1,1,0")),
+        ("oracle-equivalence", UParams.parse("2,3,1,1")),
+        ("oracle-equivalence", UParams(RingPoly([1, 1]), 1, 1, 0)),
+    ]
+    for name, u in cases:
+        serial = run_property_sweep(name, u, 8).as_dict()
+        assert run_property_sweep(name, u, 8, jobs=2).as_dict() == serial, (name, u)
+    assert pools == [2, 2, 2]
 
 
 @pytest.mark.parametrize("jobs", [0, -4])

@@ -1,4 +1,3 @@
-import pickle
 import random
 from fractions import Fraction
 
@@ -21,7 +20,7 @@ from cfdeform.analysis import enumerate_rationals
 from cfdeform.contfrac import cf_expand, cf_value, ell, j_rewrite
 from cfdeform.errors import DegenerateParametersError, DomainError, EvaluationError
 from cfdeform.exactnum import RationalFunction, RingPoly
-from cfdeform.qdeform import Q_MOVES, q_pair
+from cfdeform.qdeform import q_pair
 from cfdeform.udeform import (
     U_CON,
     U_NUM,
@@ -175,32 +174,17 @@ def test_walk_rejects_invalid_terms_before_any_level(terms):
     assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
-def test_equal_matrices_share_their_levels():
+def test_one_matrix_shares_its_levels_across_walks():
     level.cache_clear()
+    u = UParams.parse("p,1,1,0")
     for _ in range(3):
-        f_pair(UParams.parse("p,1,1,0"), [5, 7, 9])
+        f_pair(u, [5, 7, 9])
     info = level.cache_info()
     assert (info.misses, info.hits) == (3, 6)
 
 
-def test_moves_are_interned_across_pickling_and_families():
-    u = UParams.parse("p,1,0,1")
-    assert pickle.loads(pickle.dumps(u)).moves[0] is u.moves[0]
-    # (p,1;1,0)'s up move (p,1;0,1) is q's.
-    assert U_SZERO_POLY.moves[0] is Q_MOVES[0]
-
-
 def test_grid_walks_commute_with_specialization():
     grid = matrix_grid()
-    # Interning gives equal matrices one move and keeps distinct ones apart.
-    by_entries = {}
-    for text in grid:
-        moves = UParams.parse(text).moves
-        assert UParams.parse(text).moves == moves
-        for move in moves:
-            key = tuple(v.coeffs for v in move.entries)
-            assert by_entries.setdefault(key, move) is move
-    assert len({id(m) for m in by_entries.values()}) == len(by_entries)
     # f_pair(U, x) at p = c is the integer walk of U(c), degenerate or not.
     rng = random.Random(2020)
     rationals = [x for x, _ in enumerate_by_moves(8)]
