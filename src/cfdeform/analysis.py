@@ -196,27 +196,20 @@ def convergent_determinant(pairs: Sequence[FPair], k: int) -> RingPoly:
     return b.fx * a.finv - b.finv * a.fx
 
 
-# The one-variable families with a series, and whether the agreement of their
-# last two convergents is proved (see udeform.stabilized_series).
-_SERIES_PROVED = {U_SZERO_POLY: True, U_RZERO_POLY: False}
-
-
 def irrational_series(source, u: UParams, order: int) -> TruncatedSeries:
     """Taylor coefficients of a deformed irrational via its convergents.
 
-    Proved mode, (p,1;1,0): the last two convergent expansions agree on the
-    returned prefix by the determinant identity.  Heuristic mode, (p,1;0,1):
-    agreement of the last two convergents on all order+1 coefficients is
-    demanded, and disagreement raises StabilizationError carrying both series
-    (never a silent return).
+    Agreement of the last two convergent expansions on all order+1
+    coefficients is demanded.  Under a matrix whose moves meet
+    udeform.stabilization_proved, such as (p,1;1,0), it is a theorem;
+    elsewhere, such as (p,1;0,1), disagreement raises StabilizationError
+    carrying both series (never a silent return).
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
-    if u not in _SERIES_PROVED:
-        raise DomainError(
-            "series extraction supports the one-variable families (p,1;1,0) and (p,1;0,1)"
-        )
-    return stabilized_series(source, order, u.moves, _SERIES_PROVED[u])
+    if not u.symbolic:
+        raise DomainError("series extraction needs the formal variable in U")
+    return stabilized_series(source, order, u.moves)
 
 
 def stabilization_depth(prev_cf, cur_cf, order: int) -> int:

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .exactnum import RationalFunction, RingPoly, TruncatedSeries, format_terms, series_of_ratfun
 from .qdeform import q_deform_series
-from .udeform import U_RZERO_POLY, U_SZERO_POLY, UParams, f_pair
+from .udeform import U_SZERO_POLY, UParams, f_pair, stabilization_proved
 
 MAX_ORDER_ENV = "UDEFORM_MAX_ORDER"
 DEFAULT_MAX_ORDER = 200
@@ -216,10 +216,8 @@ def _cmd_series(args) -> int:
         series = series_of_ratfun(f_pair(u, x), order)
         subject = args.x
     else:
-        if u == U_RZERO_POLY and not args.heuristic:
-            raise DomainError(
-                "constants under the (p,1;0,1) family are heuristic; pass --heuristic"
-            )
+        if not (args.heuristic or stabilization_proved(u.moves)):
+            raise DomainError(f"constants under the {u} family are heuristic; pass --heuristic")
         source = _CONST_SOURCES[args.const]()
         series = irrational_series(source, u, order)
         subject = args.const
@@ -244,7 +242,7 @@ def _cmd_qseries(args) -> int:
         series = q_deform_series(x, order)
         subject = args.x
     else:
-        series = q_deform_series(StreamingCF.golden(), order)
+        series = q_deform_series(_CONST_SOURCES[args.const](), order)
         subject = args.const
     inputs = {"x": subject, "order": order}
     result = {"variable": "q", "order": order, "coefficients": _series_json(series)}
@@ -379,14 +377,14 @@ def _build_parser() -> _Parser:
                        help="builtin irrational constant")
     p_series.add_argument("--order", type=int, required=True, help="last Taylor index")
     p_series.add_argument("--heuristic", action="store_true",
-                          help="allow constants under the heuristic (p,1;0,1) family")
+                          help="allow constants under a matrix outside the proved criterion")
     add_format(p_series)
     p_series.set_defaults(func=_cmd_series)
 
     p_q = sub.add_parser("qseries", help="Taylor coefficients of the q-bracket deformation")
     group = p_q.add_mutually_exclusive_group(required=True)
     group.add_argument("--x", help="positive rational to deform")
-    group.add_argument("--const", choices=("golden",), help="builtin constant")
+    group.add_argument("--const", choices=sorted(_CONST_SOURCES), help="builtin constant")
     p_q.add_argument("--order", type=int, required=True, help="last Taylor index")
     add_format(p_q)
     p_q.set_defaults(func=_cmd_qseries)

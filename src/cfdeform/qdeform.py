@@ -59,12 +59,12 @@ def q_deform_series(source, order: int) -> TruncatedSeries:
     """Taylor coefficients of the q-deformation at q = 0.
 
     Finite expansions (or rationals) expand exactly; streaming sources walk
-    Q_MOVES through the proved number of terms (udeform.stabilized_series)
-    and check that the last two prefix deformations agree on all order+1
-    coefficients.
+    Q_MOVES through the proved number of terms (udeform.stabilized_series,
+    whose criterion Q_MOVES meets) and check that the last two prefix
+    deformations agree on all order+1 coefficients.
     """
     if order < 0:
         raise ValueError("order must be nonnegative")
     if isinstance(source, StreamingCF):
-        return stabilized_series(source, order, Q_MOVES, True)
+        return stabilized_series(source, order, Q_MOVES)
     return series_of_ratfun(q_pair(source), order)

@@ -45,6 +45,7 @@ __all__ = [
     "U_RZERO_POLY",
     "level",
     "walk",
+    "stabilization_proved",
     "stabilized_series",
     "f_pair",
     "quantize",
@@ -196,24 +197,39 @@ def walk(moves: tuple[Move, Move], x) -> FPair:
     return FPair(fx, finv)
 
 
-def stabilized_series(
-    source, order: int, moves: tuple[Move, Move], proved: bool
-) -> TruncatedSeries:
+def stabilization_proved(moves: tuple[Move, Move]) -> bool:
+    """Whether consecutive deformed convergents agree by proof (stabilized_series).
+
+    True when the moves are symbolic, both are singular at t = 0, and each
+    of the four two-letter words keeps the denominator of (1, 1) nonzero at
+    t = 0.  A singular 2x2 matrix is a column times a row, so a word's
+    denominator at 0 is one factor per first letter, per adjacent pair of
+    letters and per last letter: the two-letter words decide every word.
+    """
+    if not all(isinstance(m.one, RingPoly) for m in moves):
+        return False
+    at0 = [tuple(v.constant_term for v in m.entries) for m in moves]
+    if any(a * d - b * c for a, b, c, d in at0):
+        return False
+    # The denominator of X Y (1, 1) is (c, d) . Y (1, 1), for every X and Y.
+    return all(c * (e + f) + d * (g + h) for _, _, c, d in at0 for e, f, g, h in at0)
+
+
+def stabilized_series(source, order: int, moves: tuple[Move, Move]) -> TruncatedSeries:
     """Coefficients 0..order of a deformed irrational from its convergents.
 
-    Pulls terms until a = terms[:-1] has term sum at least order + 2, walks
-    ``moves`` along a and along terms, expands both pairs and demands that
-    they agree.
+    Pulls terms, refusing an invalid one with DomainError, until a =
+    terms[:-1] has term sum at least order + 2, walks ``moves`` along a and
+    along terms, expands both pairs and demands that they agree.
 
-    Where ``proved``, agreement is a theorem and a mismatch is an internal
-    error.  The pairs are W (1, 1) and W X Y^m (1, 1), with W the word of a
-    (sum(a) - 1 moves), X the move of a's last run and Y the other one.
-    Every move of (p,1;1,0) and of q has determinant t, so num_a den_b -
-    num_b den_a = det(W) det((1, 1), X Y^m (1, 1)) is divisible by
-    t^(sum(a) - 1), where sum(a) - 1 >= order + 1.  At t = 0 every such move
-    keeps the denominator of (1, 1) at 1, whatever the first term, so both
-    expansions agree through index order.  Elsewhere a mismatch is the
-    expected StabilizationError.
+    Where ``stabilization_proved(moves)``, agreement is a theorem and a
+    mismatch is an internal error.  The pairs are W (1, 1) and W X Y^m
+    (1, 1), with W the word of a (sum(a) - 1 moves), X the move of a's last
+    run and Y the other one.  Both moves are singular at t = 0, so num_a
+    den_b - num_b den_a = det(W) det((1, 1), X Y^m (1, 1)) is divisible by
+    t^(sum(a) - 1), where sum(a) - 1 >= order + 1, and both denominators are
+    nonzero at t = 0, so both expansions agree through index order.
+    Elsewhere a mismatch is the expected StabilizationError.
     """
     if isinstance(source, StreamingCF):
         it, name = source.terms(), source.name
@@ -227,6 +243,8 @@ def stabilized_series(
             raise TermsExhaustedError(
                 f"continued fraction terms exhausted: {name} cannot reach order {order}"
             ) from None
+        if terms[-1] < 0 or (len(terms) > 1 and terms[-1] < 1):
+            raise DomainError(f"invalid continued fraction terms {terms}")
     prev = series_of_ratfun(walk(moves, terms[:-1]), order)
     last = series_of_ratfun(walk(moves, terms), order)
     if prev != last:
@@ -235,7 +253,7 @@ def stabilized_series(
             f"{prev.agreement(last)} of order {order} (prefix sums "
             f"{sum(terms[:-1])} and {sum(terms)}, {len(terms)} terms pulled)"
         )
-        if proved:
+        if stabilization_proved(moves):
             message = "internal error: " + message
         raise StabilizationError(message, series_a=prev, series_b=last)
     return last

@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import json
 import multiprocessing
 import os
@@ -208,8 +209,10 @@ def _disagreeing_pairs(terms):
         (lambda: irrational_series(StreamingCF.golden(), U_SZERO_POLY, 5), True),
         (lambda: irrational_series(StreamingCF.periodic([0], [1]), U_SZERO_POLY, 5), True),
         (lambda: irrational_series(StreamingCF.golden(), U_RZERO_POLY, 5), False),
+        (lambda: irrational_series(StreamingCF.golden(), UParams.parse("1,0,p,1"), 5), True),
+        (lambda: irrational_series(StreamingCF.golden(), UParams.parse("p,p,1,0"), 5), False),
     ],
-    ids=["q", "szero", "szero-below-one", "rzero"],
+    ids=["q", "szero", "szero-below-one", "rzero", "1,0,p,1", "p,p,1,0"],
 )
 def test_disagreement_is_internal_error_only_where_proved(monkeypatch, call, proved):
     monkeypatch.setattr(udeform, "walk", lambda moves, terms: _disagreeing_pairs(terms))
@@ -217,6 +220,40 @@ def test_disagreement_is_internal_error_only_where_proved(monkeypatch, call, pro
         call()
     assert str(err.value).startswith("internal error: ") == proved
     assert "at index 1 of order 5" in str(err.value)
+
+
+def test_proved_grid_series_equal_a_long_convergent():
+    for text in matrix_grid():
+        u = UParams.parse(text)
+        if not udeform.stabilization_proved(u.moves):
+            continue
+        for source in (StreamingCF.golden(), StreamingCF.e_pattern(),
+                       StreamingCF.periodic([0], [1])):
+            expected = series_of_ratfun(f_pair(u, source.take(60)), 12)
+            assert irrational_series(source, u, 12) == expected, (text, source.name)
+
+
+def _invalid_source(preperiod, period):
+    # Raises after 1,000 pulls, so a loop that never checks its terms fails fast.
+    def gen():
+        yield from itertools.islice(StreamingCF.periodic(preperiod, period).terms(), 1000)
+        raise RuntimeError("1,000 terms pulled from an invalid source")
+
+    return StreamingCF("invalid", gen)
+
+
+@pytest.mark.parametrize(
+    "preperiod, period, pulled", [((), (0,), "[0, 0]"), ((3,), (-1,), "[3, -1]")]
+)
+@pytest.mark.parametrize(
+    "series",
+    [lambda s: irrational_series(s, U_SZERO_POLY, 5), lambda s: q_deform_series(s, 5)],
+    ids=["u", "q"],
+)
+def test_invalid_source_is_refused_at_the_first_bad_term(series, preperiod, period, pulled):
+    with pytest.raises(DomainError) as err:
+        series(_invalid_source(preperiod, period))
+    assert str(err.value) == f"invalid continued fraction terms {pulled}"
 
 
 def test_series_source_exhaustion():

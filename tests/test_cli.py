@@ -21,8 +21,10 @@ from oracles import (
 )
 
 from cfdeform import udeform
-from cfdeform.analysis import PROPERTIES
+from cfdeform.analysis import PROPERTIES, irrational_series
 from cfdeform.cli import MAX_TERM_SUM, main
+from cfdeform.contfrac import StreamingCF
+from cfdeform.qdeform import q_deform_series
 from cfdeform.udeform import UParams, f_pair, j_quotient
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -94,6 +96,9 @@ def test_qseries_rational_and_constant():
     assert doc["result"]["coefficients"] == ["1", "0", "0", "0", "0", "0"]
     doc = run_json("qseries", "--const", "golden", "--order", "20")
     assert doc["result"]["coefficients"] == [str(c) for c in Q_GOLDEN_SERIES_21]
+    for name, source in (("e", StreamingCF.e_pattern()), ("pi", StreamingCF.pi_embedded())):
+        doc = run_json("qseries", "--const", name, "--order", "40")
+        assert doc["result"]["coefficients"] == [str(c) for c in q_deform_series(source, 40)]
 
 
 def test_compare_19_31():
@@ -199,6 +204,15 @@ def test_exit_code_stabilization_failure():
 def test_heuristic_flag_required_for_rzero_constants():
     code, _, _ = run_cli("series", "--u", "p,1,0,1", "--const", "golden", "--order", "5")
     assert code == 1
+
+
+def test_constants_follow_the_stabilization_criterion():
+    doc = run_json("series", "--u", "1,0,p,1", "--const", "e", "--order", "40")
+    expected = irrational_series(StreamingCF.e_pattern(), UParams.parse("1,0,p,1"), 40)
+    assert doc["result"]["coefficients"] == [str(c) for c in expected]
+    code, out, err = run_cli("series", "--u", "p,p,1,0", "--const", "golden", "--order", "8")
+    assert code == 1 and out == b""
+    assert b"pass --heuristic" in err
 
 
 def test_max_order_env_cap():

@@ -15,7 +15,7 @@ from oracles import (
 
 from cfdeform.contfrac import StreamingCF, cf_expand, cf_value
 from cfdeform.errors import TermsExhaustedError
-from cfdeform.exactnum import RationalFunction, RingPoly
+from cfdeform.exactnum import RationalFunction, RingPoly, series_of_ratfun
 from cfdeform.qdeform import q_deform, q_deform_series, q_int, q_pair
 
 Q = RingPoly.variable()
@@ -94,6 +94,15 @@ def _alternating_a004148(order):
 def test_golden_stream_series_order_100():
     assert _alternating_a004148(20) == Q_GOLDEN_SERIES_21
     assert list(q_deform_series(StreamingCF.golden(), 100)) == _alternating_a004148(100)
+
+
+@pytest.mark.parametrize(
+    "source, length", [(StreamingCF.e_pattern(), 60), (StreamingCF.pi_embedded(), 22)],
+    ids=["e", "pi"],
+)
+def test_constant_series_equal_a_long_convergent(source, length):
+    expected = series_of_ratfun(q_pair(source.take(length)), 40)
+    assert q_deform_series(source, 40) == expected
 
 
 def test_pair_recursion_is_already_reduced(rationals_ell_10):

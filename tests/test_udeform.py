@@ -20,12 +20,13 @@ from cfdeform.analysis import enumerate_rationals
 from cfdeform.contfrac import cf_expand, cf_value, ell, j_rewrite
 from cfdeform.errors import DegenerateParametersError, DomainError, EvaluationError
 from cfdeform.exactnum import RationalFunction, RingPoly
-from cfdeform.qdeform import q_pair
+from cfdeform.qdeform import Q_MOVES, q_pair
 from cfdeform.udeform import (
     U_CON,
     U_NUM,
     U_RZERO_POLY,
     U_SZERO_POLY,
+    Move,
     UParams,
     codenominator,
     f_pair,
@@ -37,6 +38,7 @@ from cfdeform.udeform import (
     quantize,
     rzero_descending_cf,
     shift_by_integer,
+    stabilization_proved,
     szero_cf_form,
     walk,
 )
@@ -194,6 +196,39 @@ def test_grid_walks_commute_with_specialization():
             u_c = UParams.unchecked(*(v(c) for v in u.entries()))
             for x in rng.sample(rationals, 20):
                 assert tuple(v(c) for v in f_pair(u, x)) == f_pair(u_c, x), (text, c, x)
+
+
+def _every_short_word_keeps_its_denominator(at0, length):
+    # Brute force on the moves at t = 0: the pairs W (1, 1) for every word W
+    # of at most `length` moves, one letter prepended at a time; equal pairs
+    # merge.
+    pairs = {(1, 1)}
+    for _ in range(length):
+        pairs = {(a * x + b * y, c * x + d * y) for a, b, c, d in at0 for x, y in pairs}
+        if any(y == 0 for _, y in pairs):
+            return False
+    return True
+
+
+def test_stabilization_criterion_matches_every_word_up_to_length_12():
+    cases = {text: UParams.parse(text).moves for text in matrix_grid()}
+    # Off the grid: up up and down down keep their denominators at t = 0,
+    # but up down (1, 1) is (0, 0) there.
+    cases["mixed"] = Move(1, P, 1, 0), Move(P, 0, 0, 1)
+    proved = []
+    for name, moves in cases.items():
+        at0 = [tuple(v.constant_term for v in m.entries) for m in moves]
+        singular = all(a * d == b * c for a, b, c, d in at0)
+        expected = singular and _every_short_word_keeps_its_denominator(at0, 12)
+        assert stabilization_proved(moves) == expected, name
+        if expected:
+            proved.append(name)
+    assert len(proved) == 48
+    assert "p,1,1,0" in proved and "1,0,p,1" in proved
+    assert "p,1,0,1" not in proved and "p,p,1,0" not in proved and "mixed" not in proved
+    assert stabilization_proved(Q_MOVES) and stabilization_proved(U_SZERO_POLY.moves)
+    assert not stabilization_proved(U_RZERO_POLY.moves)
+    assert not stabilization_proved(U_NUM.moves) and not stabilization_proved(U_CON.moves)
 
 
 def test_defining_equations_sweep(rationals_ell_10):
