@@ -197,18 +197,15 @@ def convergent_determinant(pairs: Sequence[FPair], k: int) -> RingPoly:
 
 
 def irrational_series(source, u: UParams, order: int) -> TruncatedSeries:
-    """Taylor coefficients of a deformed irrational via its convergents.
+    """Taylor coefficients of a deformed value, under u's moves, through the
+    one path (udeform.stabilized_series): a rational expands exactly, a
+    StreamingCF from its last two convergents.
 
-    Agreement of the last two convergent expansions on all order+1
-    coefficients is demanded.  Under a matrix whose moves meet
-    udeform.stabilization_proved, such as (p,1;1,0), it is a theorem;
-    elsewhere, such as (p,1;0,1), disagreement raises StabilizationError
-    carrying both series (never a silent return).
+    Their agreement on all order+1 coefficients is demanded.  Under a
+    matrix whose moves meet udeform.stabilization_proved, such as
+    (p,1;1,0), it is a theorem; elsewhere, such as (p,1;0,1), disagreement
+    raises StabilizationError carrying both series (never a silent return).
     """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if not u.symbolic:
-        raise DomainError("series extraction needs the formal variable in U")
     return stabilized_series(source, order, u.moves)
 
 
@@ -225,8 +222,8 @@ def stabilization_depth(prev_cf, cur_cf, order: int) -> int:
         raise DomainError("expected consecutive prefixes of one expansion")
     if prev_terms == cur_terms:
         return order + 1
-    prev = series_of_ratfun(f_pair(U_SZERO_POLY, prev_terms), order)
-    return prev.agreement(series_of_ratfun(f_pair(U_SZERO_POLY, cur_terms), order))
+    prev = stabilized_series(prev_terms, order, U_SZERO_POLY.moves)
+    return prev.agreement(stabilized_series(cur_terms, order, U_SZERO_POLY.moves))
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from .errors import (
     StabilizationError,
     TermsExhaustedError,
 )
-from .exactnum import RationalFunction, RingPoly, TruncatedSeries, format_terms, series_of_ratfun
+from .exactnum import RationalFunction, RingPoly, TruncatedSeries, format_terms
 from .qdeform import q_deform_series
 from .udeform import U_SZERO_POLY, UParams, f_pair, stabilization_proved
 
@@ -206,21 +206,23 @@ _CONST_SOURCES = {
 }
 
 
+def _source(args):
+    """The source of --x (a capped rational) or --const (a term stream), and
+    its name as given."""
+    if args.x is not None:
+        return _parse_capped(args.x), args.x
+    return _CONST_SOURCES[args.const](), args.const
+
+
 def _cmd_series(args) -> int:
     u = UParams.parse(args.u)
     order = _check_order(args.order)
     if not u.symbolic:
         raise DomainError("series extraction needs the formal variable in U (e.g. --u p,1,1,0)")
-    if args.x is not None:
-        x = _parse_capped(args.x)
-        series = series_of_ratfun(f_pair(u, x), order)
-        subject = args.x
-    else:
-        if not (args.heuristic or stabilization_proved(u.moves)):
-            raise DomainError(f"constants under the {u} family are heuristic; pass --heuristic")
-        source = _CONST_SOURCES[args.const]()
-        series = irrational_series(source, u, order)
-        subject = args.const
+    if args.const and not (args.heuristic or stabilization_proved(u.moves)):
+        raise DomainError(f"constants under the {u} family are heuristic; pass --heuristic")
+    source, subject = _source(args)
+    series = irrational_series(source, u, order)
     inputs = {"u": args.u, "x": subject, "order": order}
     result = {"variable": "p", "order": order, "coefficients": _series_json(series)}
 
@@ -237,13 +239,8 @@ def _cmd_series(args) -> int:
 
 def _cmd_qseries(args) -> int:
     order = _check_order(args.order)
-    if args.x is not None:
-        x = _parse_capped(args.x)
-        series = q_deform_series(x, order)
-        subject = args.x
-    else:
-        series = q_deform_series(_CONST_SOURCES[args.const](), order)
-        subject = args.const
+    source, subject = _source(args)
+    series = q_deform_series(source, order)
     inputs = {"x": subject, "order": order}
     result = {"variable": "q", "order": order, "coefficients": _series_json(series)}
 
@@ -261,7 +258,7 @@ def _cmd_qseries(args) -> int:
 def _cmd_compare(args) -> int:
     order = _check_order(args.order)
     x = _parse_capped(args.x)
-    u_series = series_of_ratfun(f_pair(U_SZERO_POLY, x), order)
+    u_series = irrational_series(x, U_SZERO_POLY, order)
     q_series = q_deform_series(x, order)
     inputs = {"x": args.x, "order": order}
     result = {
@@ -363,6 +360,12 @@ def _build_parser() -> _Parser:
     def add_format(p):
         p.add_argument("--format", choices=("text", "json", "latex"), default="text")
 
+    def add_source(p):
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--x", help="positive rational to deform")
+        group.add_argument("--const", choices=sorted(_CONST_SOURCES),
+                           help="builtin irrational constant")
+
     p_eval = sub.add_parser("eval", help="solution pair and deformed value at a rational")
     p_eval.add_argument("--u", required=True, help="four entries, ints or p (e.g. p,1,1,0)" + u_eq)
     p_eval.add_argument("--x", required=True, help="positive rational, a/b or integer")
@@ -371,10 +374,7 @@ def _build_parser() -> _Parser:
 
     p_series = sub.add_parser("series", help="Taylor coefficients of a deformed value")
     p_series.add_argument("--u", required=True, help="parameter entries, must include p" + u_eq)
-    group = p_series.add_mutually_exclusive_group(required=True)
-    group.add_argument("--x", help="positive rational to deform")
-    group.add_argument("--const", choices=sorted(_CONST_SOURCES),
-                       help="builtin irrational constant")
+    add_source(p_series)
     p_series.add_argument("--order", type=int, required=True, help="last Taylor index")
     p_series.add_argument("--heuristic", action="store_true",
                           help="allow constants under a matrix outside the proved criterion")
@@ -382,9 +382,7 @@ def _build_parser() -> _Parser:
     p_series.set_defaults(func=_cmd_series)
 
     p_q = sub.add_parser("qseries", help="Taylor coefficients of the q-bracket deformation")
-    group = p_q.add_mutually_exclusive_group(required=True)
-    group.add_argument("--x", help="positive rational to deform")
-    group.add_argument("--const", choices=sorted(_CONST_SOURCES), help="builtin constant")
+    add_source(p_q)
     p_q.add_argument("--order", type=int, required=True, help="last Taylor index")
     add_format(p_q)
     p_q.set_defaults(func=_cmd_qseries)

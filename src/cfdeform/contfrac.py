@@ -27,7 +27,6 @@ __all__ = [
     "ell",
     "convergents",
     "j_rewrite",
-    "canonicalize_terms",
     "parse_rational",
     "parse_cf",
     "format_cf",
@@ -97,7 +96,7 @@ def cf_expand(x) -> CFExpansion:
         q, r = divmod(num, den)
         terms.append(q)
         num, den = den, r
-    return CFExpansion(canonicalize_terms(terms))
+    return CFExpansion(tuple(terms))
 
 
 def cf_value(cf: CFExpansion | Sequence[int]) -> Fraction:
@@ -115,14 +114,6 @@ def ell(x) -> int:
     """Sum of the continued-fraction terms of x (its depth under the two
     generating moves x -> 1+x and x -> x/(1+x) starting from 1)."""
     return sum(cf_expand(x).terms)
-
-
-def canonicalize_terms(terms: Iterable[int]) -> tuple[int, ...]:
-    """Merge a trailing 1 so the result is the canonical representative."""
-    t = list(terms)
-    if len(t) > 1 and t[-1] == 1:
-        t = t[:-2] + [t[-2] + 1]
-    return tuple(t)
 
 
 class StreamingCF:

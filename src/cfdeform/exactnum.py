@@ -335,9 +335,6 @@ class RationalFunction:
     def is_polynomial(self) -> bool:
         return self.den == RingPoly((1,))
 
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
@@ -345,21 +342,6 @@ class RationalFunction:
         return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(-self.num, self.den)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
@@ -377,18 +359,10 @@ class RationalFunction:
             raise ZeroDivisionError("division by zero rational function")
         return RationalFunction(self.num * o.den, self.den * o.num)
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
     def inverse(self) -> "RationalFunction":
         return RationalFunction(self.den, self.num)
 
     def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
         return RationalFunction(self.num**n, self.den**n)
 
     def __eq__(self, other):
@@ -500,12 +474,32 @@ def series_of_ratfun(f, order: int) -> TruncatedSeries:
     d0 = dcs[0] if dcs else 0
     if d0 == 0:
         raise ZeroDivisionError("no Taylor expansion at origin")
+    if d0 not in (1, -1):
+        return TruncatedSeries(_series_over_d0(ncs, dcs, order))
     # A unit constant term is its own inverse and keeps integer series in ints.
-    inverse = d0 if d0 in (1, -1) else Fraction(1, d0)
     out: list = []
     for n in range(order + 1):
         acc = ncs[n] if n < len(ncs) else 0
         for j in range(1, min(n, len(dcs) - 1) + 1):
             acc -= dcs[j] * out[n - j]
-        out.append(acc * inverse)
+        out.append(acc * d0)
     return TruncatedSeries(out)
+
+
+def _series_over_d0(ncs, dcs, order: int) -> list[Fraction]:
+    # c_n = (num_n - sum_j d_j c_(n-j)) / d0 in integers: a_n = c_n d0^(n+1)
+    # satisfies a_n = num_n d0^n - sum_j d_j d0^(j-1) a_(n-j), so the loop
+    # never reduces a Fraction and each coefficient is reduced once.
+    d0 = dcs[0]
+    scaled = [d * d0 ** (j - 1) for j, d in enumerate(dcs) if j]
+    ints: list[int] = []
+    out: list[Fraction] = []
+    power = 1
+    for n in range(order + 1):
+        acc = ncs[n] * power if n < len(ncs) else 0
+        for j in range(1, min(n, len(scaled)) + 1):
+            acc -= scaled[j - 1] * ints[n - j]
+        ints.append(acc)
+        power *= d0
+        out.append(Fraction(acc, power))
+    return out

@@ -9,15 +9,16 @@ is fixed by [1]_q = 1 and the two moves
 
 which act on its (numerator, denominator) pair as the up matrix (q,1;0,1)
 and the down matrix (q,0;q,1), both of determinant q.  The pair is the
-walk of udeform over these two moves.  At p = q, (p,1;1,0) and q share the
-up move t -> pt + 1, and q's down matrix is q times (p,1;1,0)'s down
-matrix at p = 1/q (t -> t/(t + 1/q) against t -> t/(t + p)).
+walk of udeform over these two moves, and the series of a rational or of
+an irrational is udeform's one path to a series over them.  At p = q,
+(p,1;1,0) and q share the up move t -> pt + 1, and q's down matrix is q
+times (p,1;1,0)'s down matrix at p = 1/q (t -> t/(t + 1/q) against
+t -> t/(t + p)).
 """
 
 from __future__ import annotations
 
-from .contfrac import StreamingCF
-from .exactnum import RationalFunction, RingPoly, TruncatedSeries, series_of_ratfun
+from .exactnum import RationalFunction, RingPoly, TruncatedSeries
 from .udeform import FPair, Move, stabilized_series, walk
 
 __all__ = ["Q_MOVES", "q_int", "q_pair", "q_deform", "q_deform_series"]
@@ -56,15 +57,8 @@ def q_deform(cf) -> RationalFunction:
 
 
 def q_deform_series(source, order: int) -> TruncatedSeries:
-    """Taylor coefficients of the q-deformation at q = 0.
-
-    Finite expansions (or rationals) expand exactly; streaming sources walk
-    Q_MOVES through the proved number of terms (udeform.stabilized_series,
-    whose criterion Q_MOVES meets) and check that the last two prefix
-    deformations agree on all order+1 coefficients.
-    """
-    if order < 0:
-        raise ValueError("order must be nonnegative")
-    if isinstance(source, StreamingCF):
-        return stabilized_series(source, order, Q_MOVES)
-    return series_of_ratfun(q_pair(source), order)
+    """Taylor coefficients of the q-deformation at q = 0: the one path
+    (udeform.stabilized_series) over Q_MOVES, exact for a rational and
+    proved to stabilise for a StreamingCF, since Q_MOVES meets
+    stabilization_proved."""
+    return stabilized_series(source, order, Q_MOVES)

@@ -11,8 +11,9 @@ f(x) / f(1/x).  Entries may be integers or polynomials in one formal
 variable; the recursion is the same either way.  Every positive rational
 is one word in the moves x -> 1 + x and x -> x / (1 + x), which act on the
 pair (f(x), f(1/x)) as the matrices (p q; s r) and (r s; q p).  The walk of
-two moves also gives the series of an irrational, from its last two
-convergents (stabilized_series).
+two moves is also the one path from a source to a series
+(stabilized_series): a rational expands exactly, an irrational from its
+last two convergents.
 """
 
 from __future__ import annotations
@@ -216,11 +217,14 @@ def stabilization_proved(moves: tuple[Move, Move]) -> bool:
 
 
 def stabilized_series(source, order: int, moves: tuple[Move, Move]) -> TruncatedSeries:
-    """Coefficients 0..order of a deformed irrational from its convergents.
+    """Coefficients 0..order of a deformed value: the one path from a source
+    to a series.
 
-    Pulls terms, refusing an invalid one with DomainError, until a =
-    terms[:-1] has term sum at least order + 2, walks ``moves`` along a and
-    along terms, expands both pairs and demands that they agree.
+    A rational, a CFExpansion or a term tuple expands exactly, from its
+    walk.  A StreamingCF is stabilised: terms are pulled, an invalid one
+    refused with DomainError, until a = terms[:-1] has term sum at least
+    order + 2; ``moves`` are walked along a and along terms, and both
+    expansions must agree.  Integer moves have no series: DomainError.
 
     Where ``stabilization_proved(moves)``, agreement is a theorem and a
     mismatch is an internal error.  The pairs are W (1, 1) and W X Y^m
@@ -231,10 +235,13 @@ def stabilized_series(source, order: int, moves: tuple[Move, Move]) -> Truncated
     nonzero at t = 0, so both expansions agree through index order.
     Elsewhere a mismatch is the expected StabilizationError.
     """
-    if isinstance(source, StreamingCF):
-        it, name = source.terms(), source.name
-    else:
-        it, name = iter(source), "terms"
+    if order < 0:
+        raise ValueError("order must be nonnegative")
+    if not all(isinstance(m.one, RingPoly) for m in moves):
+        raise DomainError("series extraction needs the formal variable in U")
+    if not isinstance(source, StreamingCF):
+        return series_of_ratfun(walk(moves, source), order)
+    it, name = source.terms(), source.name
     terms: list[int] = []
     while sum(terms[:-1]) < order + 2:
         try:

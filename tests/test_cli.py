@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -554,3 +555,23 @@ def test_a_sweep_that_fails_on_an_input_names_it(name, u, line):
     expected = f"cfdeform: {name} at {line}\n"
     assert _main_streams(argv) == (1, "", expected)
     assert run_cli(*argv, "--jobs", "2") == (1, b"", expected.encode())
+
+
+CLI_EXPECTED = os.path.join(os.path.dirname(SRC), "perfbench", "cli_expected.json")
+
+
+def test_every_captured_command_gives_its_captured_stdout(monkeypatch):
+    # perfbench/cli_expected.json holds, per command, the exit code and the
+    # SHA-256 of stdout of `python -m cfdeform <command>`; the keys are the
+    # arguments joined by single spaces.
+    monkeypatch.delenv("UDEFORM_MAX_ORDER", raising=False)
+    with open(CLI_EXPECTED, encoding="utf-8") as fh:
+        expected = json.load(fh)
+    assert expected
+    wrong = []
+    for command, want in expected.items():
+        code, out, _ = _main_streams(command.split(" "))
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        if (code, digest) != (want["exit"], want["stdout_sha256"]):
+            wrong.append(command)
+    assert wrong == []

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import matrix_grid
 
 from cfdeform.analysis import enumerate_rationals
 from cfdeform.exactnum import (
@@ -269,3 +270,32 @@ def test_format_terms_parenthesizes_fractional_coefficients_in_text():
     coeffs = [Fraction(-1, 2), Fraction(3, 4), 2]
     assert format_terms(coeffs, "p") == "-1/2 + (3/4)p + 2p^2"
     assert format_terms(coeffs, "p", latex=True) == r"-\frac{1}{2}+\frac{3}{4}p+2p^{2}"
+
+
+def _fraction_series(num, den, order):
+    # The recurrence c_n = (num_n - sum_j den_j c_(n-j)) / den_0, in Fractions.
+    ncs, dcs = num.coeffs, den.coeffs
+    out = []
+    for n in range(order + 1):
+        acc = Fraction(ncs[n] if n < len(ncs) else 0)
+        for j in range(1, min(n, len(dcs) - 1) + 1):
+            acc -= dcs[j] * out[n - j]
+        out.append(acc / dcs[0])
+    return out
+
+
+def test_series_with_a_nonunit_constant_term_matches_the_fraction_recurrence():
+    # den(0) of 276 bits: the integer path must give the same coefficients.
+    pair = f_pair(UParams.parse("-1,2,p,2"), Fraction(2816596318483412024, 1036167879649219395))
+    assert abs(pair.finv.constant_term).bit_length() == 276
+    assert list(series_of_ratfun(pair, 60)) == _fraction_series(*pair, 60)
+    rng = random.Random(12)
+    grid, xs = matrix_grid(), [x for x, _ in enumerate_rationals(8)]
+    checked = 0
+    while checked < 60:
+        pair = f_pair(UParams.parse(rng.choice(grid)), rng.choice(xs))
+        if abs(pair.finv.constant_term) > 1:
+            series = series_of_ratfun(pair, 12)
+            assert list(series) == _fraction_series(*pair, 12)
+            assert all(isinstance(c, Fraction) for c in series)
+            checked += 1

@@ -17,9 +17,9 @@ from oracles import (
 )
 
 from cfdeform.analysis import enumerate_rationals
-from cfdeform.contfrac import cf_expand, cf_value, ell, j_rewrite
+from cfdeform.contfrac import StreamingCF, cf_expand, cf_value, ell, j_rewrite
 from cfdeform.errors import DegenerateParametersError, DomainError, EvaluationError
-from cfdeform.exactnum import RationalFunction, RingPoly
+from cfdeform.exactnum import RationalFunction, RingPoly, series_of_ratfun
 from cfdeform.qdeform import Q_MOVES, q_pair
 from cfdeform.udeform import (
     U_CON,
@@ -39,6 +39,7 @@ from cfdeform.udeform import (
     rzero_descending_cf,
     shift_by_integer,
     stabilization_proved,
+    stabilized_series,
     szero_cf_form,
     walk,
 )
@@ -493,3 +494,35 @@ def test_variable_allowed_in_any_entry(rationals_ell_10):
             down = f_pair(u, x / (1 + x))
             assert up.fx == p * fx + q * finv
             assert down.fx == r * fx + s * finv
+
+
+def _series_or_pole(expand):
+    try:
+        return expand()
+    except ZeroDivisionError:
+        return "pole"
+
+
+def test_finite_sources_expand_exactly_on_the_one_path(rationals_ell_10):
+    # A rational, its expansion, its term tuple and the tuple ending in 1
+    # all give the series of their walk, or all meet its pole at 0.
+    rng = random.Random(22)
+    cases = [UParams.parse(text).moves for text in rng.sample(matrix_grid(), 12)] + [Q_MOVES]
+    xs = [x for x, _ in rng.sample(rationals_ell_10, 40)]
+    for moves in cases:
+        for x in xs:
+            expected = _series_or_pole(lambda: series_of_ratfun(walk(moves, x), 8))
+            terms = cf_expand(x).terms
+            long_form = terms[:-1] + (terms[-1] - 1, 1) if terms[-1] > 1 else terms
+            for source in (x, cf_expand(x), terms, long_form):
+                assert _series_or_pole(lambda: stabilized_series(source, 8, moves)) == expected
+
+
+@pytest.mark.parametrize("source", [StreamingCF.golden(), Fraction(7, 5), (1, 2, 2)],
+                         ids=["stream", "rational", "terms"])
+def test_integer_moves_have_no_series(source):
+    for u in INTEGER_MATRICES:
+        with pytest.raises(DomainError, match="series extraction needs the formal variable"):
+            stabilized_series(source, 5, u.moves)
+    with pytest.raises(ValueError, match="order must be nonnegative"):
+        stabilized_series(source, -1, Q_MOVES)
