@@ -474,32 +474,24 @@ def series_of_ratfun(f, order: int) -> TruncatedSeries:
     d0 = dcs[0] if dcs else 0
     if d0 == 0:
         raise ZeroDivisionError("no Taylor expansion at origin")
-    if d0 not in (1, -1):
-        return TruncatedSeries(_series_over_d0(ncs, dcs, order))
-    # A unit constant term is its own inverse and keeps integer series in ints.
-    out: list = []
-    for n in range(order + 1):
-        acc = ncs[n] if n < len(ncs) else 0
-        for j in range(1, min(n, len(dcs) - 1) + 1):
-            acc -= dcs[j] * out[n - j]
-        out.append(acc * d0)
-    return TruncatedSeries(out)
-
-
-def _series_over_d0(ncs, dcs, order: int) -> list[Fraction]:
-    # c_n = (num_n - sum_j d_j c_(n-j)) / d0 in integers: a_n = c_n d0^(n+1)
+    # c_n = (num_n - sum_j d_j c_(n-j)) / d0 runs in integers: a_n = c_n d0^(n+1)
     # satisfies a_n = num_n d0^n - sum_j d_j d0^(j-1) a_(n-j), so the loop
-    # never reduces a Fraction and each coefficient is reduced once.
-    d0 = dcs[0]
-    scaled = [d * d0 ** (j - 1) for j, d in enumerate(dcs) if j]
+    # never reduces a Fraction and each coefficient is reduced once.  A unit
+    # d0 is its own inverse, which keeps an integer series in ints.
+    scaled = [d0]  # scaled[j] = d_j d0^(j-1) for 1 <= j <= order
+    power = 1
+    for d in dcs[1:order + 1]:
+        scaled.append(d * power)
+        power *= d0
+    unit = d0 in (1, -1)
     ints: list[int] = []
-    out: list[Fraction] = []
+    out: list = []
     power = 1
     for n in range(order + 1):
         acc = ncs[n] * power if n < len(ncs) else 0
-        for j in range(1, min(n, len(scaled)) + 1):
-            acc -= scaled[j - 1] * ints[n - j]
+        for j in range(1, min(n, len(scaled) - 1) + 1):
+            acc -= scaled[j] * ints[n - j]
         ints.append(acc)
         power *= d0
-        out.append(Fraction(acc, power))
-    return out
+        out.append(acc * power if unit else Fraction(acc, power))
+    return TruncatedSeries(out)

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -299,3 +300,18 @@ def test_series_with_a_nonunit_constant_term_matches_the_fraction_recurrence():
             assert list(series) == _fraction_series(*pair, 12)
             assert all(isinstance(c, Fraction) for c in series)
             checked += 1
+
+
+def test_series_work_at_a_low_order_does_not_grow_with_the_denominator_degree():
+    # den(0) of 793 bits over a degree-600 den: order 2 reads only den_1, den_2.
+    num = RingPoly([5, 7])
+    den = RingPoly([3**500] + [2**64 + j for j in range(600)])
+    tracemalloc.start()
+    try:
+        series = series_of_ratfun((num, den), 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(series) == _fraction_series(num, den, 2)
+    assert peak < 1 << 20
+
