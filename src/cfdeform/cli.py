@@ -45,10 +45,10 @@ DEFAULT_MAX_ORDER = 200
 # memory flat (16 MB RSS).  As a 2-vCPU process, oracle-equivalence under (p,1;1,0)
 # takes about 41 s at 20, or 24 s with --jobs 2.
 MAX_SWEEP_ELL = 20
-# Rational inputs: the cap bounds the walk, not eval's gcd reduction (ROADMAP item 1).
-# As 2-vCPU processes, eval of the cap input 7500744601/2498168990 takes about 3.7 s
-# under (p,1;0,1) but did not finish in 14 minutes under p,p,p,1, and eval of
-# 7811271/2582500 (term sum 210) under 1,p,p,p took 35 s, 58 s and 65 s in three runs.
+# Rational inputs: the cap bounds the walk, and eval's reduction needs no gcd
+# (FPair.quotient).  As 2-vCPU processes, eval of the cap input 7500744601/2498168990
+# takes 0.92 s under p,p,p,1, 0.70 s under p,1,0,1 and at most 4.2 s under a matrix of
+# entries in {-1, 0, 1, 2, p}; eval of 7811271/2582500 (term sum 210) under 1,p,p,p, 57 ms.
 MAX_TERM_SUM = 2000
 
 EXIT_OK = 0
@@ -175,7 +175,7 @@ def _cmd_eval(args) -> int:
     u = UParams.parse(args.u)
     x = _parse_capped(args.x)
     pair = f_pair(u, x)
-    value = pair.quotient()
+    value = pair.quotient(u.moves)
     var = "p"
     inputs = {"u": args.u, "x": args.x}
     result = {

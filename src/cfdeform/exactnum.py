@@ -2,9 +2,9 @@
 rational functions, and truncated power series with rational coefficients.
 
 Integers are plain Python ints (arbitrary precision), rationals are
-``fractions.Fraction``.  Polynomials are dense ascending coefficient tuples;
-degrees in this package stay small (a few hundred at the very worst), so a
-dense representation wins on simplicity.
+``fractions.Fraction``.  Polynomials are dense ascending coefficient tuples:
+the walk's pairs are dense, with degree up to about 2,000 at the CLI's
+term-sum cap, so a sparse representation would save nothing.
 """
 
 from __future__ import annotations
@@ -220,25 +220,23 @@ def poly_content(a: RingPoly) -> int:
 
 
 def poly_divexact(a: RingPoly, b: RingPoly) -> RingPoly:
-    """Exact division; raises ArithmeticError when b does not divide a."""
+    """Exact division; raises ArithmeticError when b does not divide a, at
+    the first quotient coefficient that is not an integer."""
     if b.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    rem = list(a.coeffs)
-    out = [0] * (max(len(rem) - len(b.coeffs) + 1, 0))
-    bl = b.leading_coefficient
-    while len(rem) >= len(b.coeffs) and any(rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) < len(b.coeffs):
-            break
-        q, r = divmod(rem[-1], bl)
-        if r != 0:
+    bs, rem = b.coeffs, list(a.coeffs)
+    width, bl = len(bs), bs[-1]
+    out = [0] * max(len(rem) - width + 1, 0)
+    # Each step clears the top coefficient of what is left, rem[: shift + width].
+    for shift in range(len(out) - 1, -1, -1):
+        q, r = divmod(rem[shift + width - 1], bl)
+        if r:
             raise ArithmeticError("polynomial division is not exact")
-        shift = len(rem) - len(b.coeffs)
-        out[shift] = q
-        for i, c in enumerate(b.coeffs):
-            rem[shift + i] -= q * c
-    if any(rem):
+        if q:
+            out[shift] = q
+            for i, c in enumerate(bs):
+                rem[shift + i] -= q * c
+    if any(rem[: width - 1]):
         raise ArithmeticError("polynomial division is not exact")
     return RingPoly(out)
 
@@ -315,6 +313,14 @@ class RationalFunction:
             num, den = -num, -den
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+
+    @classmethod
+    def normal(cls, num: RingPoly, den: RingPoly) -> "RationalFunction":
+        """Wrap a pair that is already in normal form, without reducing it again."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "num", num)
+        object.__setattr__(f, "den", den)
+        return f
 
     @staticmethod
     def _as_poly(v) -> RingPoly:

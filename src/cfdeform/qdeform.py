@@ -53,7 +53,7 @@ def q_deform(cf) -> RationalFunction:
 
     Evaluating the result at q = 1 returns the undeformed value.
     """
-    return q_pair(cf).quotient()
+    return q_pair(cf).quotient(Q_MOVES)
 
 
 def q_deform_series(source, order: int) -> TruncatedSeries:

@@ -19,6 +19,7 @@ last two convergents.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +33,7 @@ from .errors import (
     StabilizationError,
     TermsExhaustedError,
 )
-from .exactnum import RationalFunction, RingPoly, TruncatedSeries, series_of_ratfun
+from .exactnum import RationalFunction, RingPoly, TruncatedSeries, poly_divexact, series_of_ratfun
 
 __all__ = [
     "UParams",
@@ -67,14 +68,92 @@ class FPair(NamedTuple):
     fx: object
     finv: object
 
-    def quotient(self) -> Fraction | RationalFunction:
+    def quotient(self, moves: tuple[Move, Move]) -> Fraction | RationalFunction:
         """The deformed value f(x) / f(1/x), reduced: a Fraction for integer pairs,
-        a RationalFunction for polynomial ones; EvaluationError if f(1/x) = 0."""
+        a RationalFunction for polynomial ones, which ``moves``, the two moves
+        whose walk gave the pair, reduce without a gcd (_reduced);
+        EvaluationError if f(1/x) = 0."""
         if self.finv == 0:
             raise EvaluationError("quantization undefined: f(1/x) = 0")
         if isinstance(self.fx, RingPoly):
-            return RationalFunction(self.fx, self.finv)
+            return _reduced(self.fx, self.finv, moves)
         return Fraction(self.fx, self.finv)
+
+
+def _valuation(a: RingPoly) -> int:
+    """The power of the variable that divides a nonzero a."""
+    return next(i for i, c in enumerate(a.coeffs) if c)
+
+
+def _det_factors(move: Move) -> list[RingPoly] | None:
+    """The irreducible factors of the move's determinant other than the
+    variable, primitive with positive leading coefficient, or None if what
+    is left after the variable is zero or of degree above 2.  A quadratic
+    splits exactly when its discriminant is a square."""
+    a, b, c, d = move.entries
+    det = a * d - b * c
+    cs = det.coeffs[_valuation(det) :] if det else ()
+    if not cs or len(cs) > 3:
+        return None
+    split = [cs]
+    if len(cs) == 3:
+        c0, c1, c2 = cs
+        disc = c1 * c1 - 4 * c2 * c0
+        root = math.isqrt(max(disc, 0))
+        if root * root == disc:
+            # 4 c2 (c2 p^2 + c1 p + c0) = (2 c2 p + c1 - root) (2 c2 p + c1 + root)
+            split = [(c1 - root, 2 * c2), (c1 + root, 2 * c2)]
+    out: list[RingPoly] = []
+    for f in split:
+        g = math.gcd(*f) if f[-1] > 0 else -math.gcd(*f)
+        f = RingPoly([c // g for c in f])
+        if f.degree() and f not in out:
+            out.append(f)
+    return out
+
+
+def _exact_quotient(a: RingPoly, f: RingPoly) -> RingPoly | None:
+    """a / f if f divides a, else None: synthetic division for p - r, else
+    poly_divexact, which stops at the first inexact step."""
+    if len(f.coeffs) == 2 and f.coeffs[1] == 1:
+        r = -f.coeffs[0]
+        # Horner at r: the partial values are the quotient, the last the remainder.
+        steps = list(itertools.accumulate(reversed(a.coeffs), lambda acc, c: acc * r + c))
+        return None if steps[-1] else RingPoly(steps[-2::-1])
+    try:
+        return poly_divexact(a, f)
+    except ArithmeticError:
+        return None
+
+
+def _reduced(fx: RingPoly, finv: RingPoly, moves: tuple[Move, Move]) -> RationalFunction:
+    """fx / finv in RationalFunction's normal form, for the pair of a walk of
+    ``moves``, without a gcd.
+
+    The pair is W (1, 1) for a word W of the moves, and adj(W) (fx, finv) =
+    det(W) (1, 1), so every common divisor of fx and finv divides det(W), a
+    power of the determinant that both moves share.  Its irreducible
+    factors are the integer content, the variable and the factors of that
+    determinant: each is stripped while it divides both entries.  A
+    determinant that leaves a factor of degree above 2 falls back to
+    poly_gcd.
+    """
+    if fx.is_zero():
+        return RationalFunction.normal(fx, RingPoly.constant(1))
+    factors = _det_factors(moves[0])
+    if factors is None:
+        return RationalFunction(fx, finv)
+    low = min(_valuation(fx), _valuation(finv))
+    num, den = RingPoly(fx.coeffs[low:]), RingPoly(finv.coeffs[low:])
+    for f in factors:
+        while (n := _exact_quotient(num, f)) and (d := _exact_quotient(den, f)):
+            num, den = n, d
+    g = math.gcd(*num.coeffs, *den.coeffs)
+    if den.leading_coefficient < 0:
+        g = -g
+    if g != 1:
+        num, den = RingPoly([c // g for c in num.coeffs]), RingPoly([c // g for c in den.coeffs])
+    return RationalFunction.normal(num, den)
 
 
 class Move:
@@ -274,7 +353,7 @@ def f_pair(u: UParams, x) -> FPair:
 
 def quantize(u: UParams, x) -> Fraction | RationalFunction:
     """The deformed value f(x) / f(1/x), reduced (FPair.quotient)."""
-    return f_pair(u, x).quotient()
+    return f_pair(u, x).quotient(u.moves)
 
 
 def codenominator(x) -> int:
@@ -289,7 +368,7 @@ def codenominator(x) -> int:
 
 def j_quotient(x) -> Fraction:
     """The involution x -> con(x) / con(1/x), with con the (1,1;0,1) solution."""
-    return f_pair(U_CON, x).quotient()
+    return f_pair(U_CON, x).quotient(U_CON.moves)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ computes from cached level matrices.
 import itertools
 from fractions import Fraction
 
-from cfdeform import analysis
+from cfdeform import analysis, exactnum
 from cfdeform.errors import DomainError
 from cfdeform.exactnum import RingPoly
 from cfdeform.udeform import f_pair
@@ -171,6 +171,20 @@ def matrix_grid():
         if "p" in entries and times(q, s) != times(r, p):
             grid.append(",".join(entries))
     return grid
+
+
+def forbid_walk_gcd(monkeypatch):
+    """Make poly_gcd raise on two operands of degree above 2.  A walk's pair
+    is reduced by the factors of its moves' determinant, never by a gcd;
+    the s = 0 closed forms still take gcds of small operands."""
+    real = exactnum.poly_gcd
+
+    def guarded(a, b):
+        if min(a.degree() or 0, b.degree() or 0) > 2:
+            raise AssertionError(f"poly_gcd of degrees {a.degree()} and {b.degree()}")
+        return real(a, b)
+
+    monkeypatch.setattr(exactnum, "poly_gcd", guarded)
 
 
 def step_ascent(u, terms):

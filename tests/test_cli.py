@@ -19,12 +19,15 @@ from oracles import (
     RZERO_17_2_SERIES,
     SERIES_19_31,
     Q_19_31_SERIES,
+    forbid_walk_gcd,
+    matrix_grid,
 )
 
 from cfdeform import udeform
 from cfdeform.analysis import PROPERTIES, irrational_series
 from cfdeform.cli import MAX_TERM_SUM, main
 from cfdeform.contfrac import StreamingCF
+from cfdeform.exactnum import RationalFunction
 from cfdeform.qdeform import q_deform_series
 from cfdeform.udeform import UParams, f_pair, j_quotient
 
@@ -520,6 +523,49 @@ def test_series_of_a_rational_expands_the_pair_unreduced(monkeypatch, argv, key,
     code, out = _main([*argv, "--format", "json"])
     assert code == 0
     assert json.loads(out)["result"][key] == [str(c) for c in expected]
+
+
+def test_eval_reduces_without_a_gcd_on_a_grid_sample(monkeypatch):
+    xs = ["29/13", "19/31", "17/2", "1/5", "8"]
+    cases = [(text, x) for text in matrix_grid()[::18] for x in xs]
+    forbid_walk_gcd(monkeypatch)
+    docs = [_main(["eval", f"--u={text}", "--x", x, "--format", "json"]) for text, x in cases]
+    monkeypatch.undo()
+    for (text, x), (code, out) in zip(cases, docs):
+        pair = f_pair(UParams.parse(text), Fraction(x))
+        if pair.finv == 0:
+            assert code == 1
+            continue
+        want = RationalFunction(pair.fx, pair.finv)
+        assert code == 0
+        assert json.loads(out)["result"]["quantization"] == {
+            "num": [str(c) for c in want.num.coeffs] or ["0"],
+            "den": [str(c) for c in want.den.coeffs],
+        }
+
+
+CAP_INPUT = "7500744601/2498168990"  # term sum 2000
+
+
+@pytest.mark.parametrize("u, x", [("p,p,p,1", CAP_INPUT), ("p,1,-1,-1", "1000")])
+def test_eval_at_the_cap_finishes_in_seconds(unlimited_int_digits, u, x):
+    # The exit contract allows no hang: reduced by poly_gcd, p,p,p,1 at the
+    # cap ran past 14 minutes, and p - 1 divides the p,1,-1,-1 pair 499 times.
+    start = time.perf_counter()
+    code, _ = _main(["eval", f"--u={u}", "--x", x, "--format", "json"])
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert elapsed < 10
+
+
+def test_eval_output_is_unchanged_where_the_gcd_was_slow(unlimited_int_digits):
+    # The SHA-256 of this command's stdout when eval reduced by poly_gcd,
+    # which took 26 s on a 2-vCPU machine.
+    code, out = _main(["eval", "--u", "1,p,p,p", "--x", "7811271/2582500", "--format", "json"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "07cac7f823c5acee1e1880ea8d4016bc947bb3026d0cb6adbbdcb979bb198054"
+    )
 
 
 def test_negative_first_entry_needs_the_equals_form():

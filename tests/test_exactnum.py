@@ -12,6 +12,7 @@ from cfdeform.exactnum import (
     TruncatedSeries,
     format_terms,
     poly_content,
+    poly_divexact,
     poly_gcd,
     series_of_ratfun,
 )
@@ -223,6 +224,23 @@ def test_raw_pair_expands_as_its_reduced_value(u_text):
     for x, _ in enumerate_rationals(9):
         pair = f_pair(u, x)
         assert _expansion_or_pole(pair) == _reduced_expansion_or_pole(pair), x
+
+
+def test_poly_divexact_divides_exactly_or_raises():
+    rng = random.Random(5)
+    for divisor in (P - 1, 2 * P + 3, P * P + P + 1, 3 * P * P - 2, RingPoly((-4,))):
+        for _ in range(20):
+            quotient = _random_poly(rng)
+            shifted = quotient * P ** rng.randrange(4)
+            assert poly_divexact(shifted * divisor, divisor) == shifted
+            if divisor.degree():
+                with pytest.raises(ArithmeticError):
+                    poly_divexact(shifted * divisor + 1, divisor)
+    with pytest.raises(ArithmeticError):
+        poly_divexact(P + 1, P * P)
+    with pytest.raises(ArithmeticError):
+        poly_divexact(P**3 + 1, 2 * P + 1)  # inexact at the leading step
+    assert poly_divexact(RingPoly(), P + 1) == RingPoly()
 
 
 def test_poly_content():

@@ -9,6 +9,7 @@ from oracles import (
     Q_19_31,
     Q_19_31_SERIES,
     Q_GOLDEN_SERIES_21,
+    forbid_walk_gcd,
     q_moves_oracle,
     term_tuples,
 )
@@ -35,6 +36,14 @@ def test_deform_displays():
         RingPoly(Q_19_31[0]), RingPoly(Q_19_31[1])
     )
     assert q_deform(1) == RationalFunction(1, 1)
+
+
+def test_q_deform_keeps_the_pair_as_it_is(monkeypatch, rationals_ell_10):
+    # q_pair is already the normal form: q_deform takes no gcd and keeps it.
+    forbid_walk_gcd(monkeypatch)
+    for x, _ in rationals_ell_10:
+        pair, value = q_pair(x), q_deform(x)
+        assert (value.num, value.den) == (pair.fx, pair.finv)
 
 
 def test_rewrite_choice_does_not_change_value():

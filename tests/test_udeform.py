@@ -11,6 +11,7 @@ from oracles import (
     RZERO_TABLE,
     SZERO_TABLE,
     enumerate_by_moves,
+    forbid_walk_gcd,
     matrix_grid,
     step_ascent,
     term_tuples,
@@ -264,6 +265,61 @@ def test_quantize_displays():
     assert quantize(U_SZERO_POLY, Fraction(19, 31)) == RationalFunction(
         RingPoly(QUANT_19_31[0]), RingPoly(QUANT_19_31[1])
     )
+
+
+def test_walk_pairs_reduce_to_the_gcd_normal_form_without_a_gcd(monkeypatch):
+    # Every grid matrix at every rational of term sum <= 8: quantize, with no
+    # gcd of large operands, gives RationalFunction's normal form by poly_gcd.
+    xs = [x for x, _ in enumerate_rationals(8)]
+    zero_fx = negative_den = 0
+    for text in matrix_grid():
+        u = UParams.parse(text)
+        pairs = [f_pair(u, x) for x in xs]
+        with monkeypatch.context() as m:
+            forbid_walk_gcd(m)
+            values = [quantize(u, x) if pair.finv else None for x, pair in zip(xs, pairs)]
+        for x, pair, value in zip(xs, pairs, values):
+            if value is not None:
+                want = RationalFunction(pair.fx, pair.finv)
+                assert (value.num, value.den) == (want.num, want.den), (text, x)
+                zero_fx += pair.fx.is_zero()
+                negative_den += pair.finv.leading_coefficient < 0
+    # f(x) = 0 reduces to 0/1; a negative leading coefficient moves to num.
+    assert zero_fx == 468 and negative_den == 13660
+
+
+def test_a_linear_factor_of_the_determinant_is_stripped_each_time(monkeypatch):
+    # Under (p,1;-1,-1) the moves' determinant is 1 - p, and p - 1 divides
+    # the pair at 400 exactly 199 times.
+    u = UParams.parse("p,1,-1,-1")
+    pair = f_pair(u, 400)
+    want = RationalFunction(pair.fx, pair.finv)
+    forbid_walk_gcd(monkeypatch)
+    value = quantize(u, 400)
+    assert (value.num, value.den) == (want.num, want.den)
+    assert pair.fx.degree() - value.num.degree() == 199
+    assert pair.finv.degree() - value.den.degree() == 199
+
+
+@pytest.mark.parametrize(
+    "u, gcd_free",
+    [
+        (UParams(P, 1, P - 2, -1), True),  # determinant (p - 1)^2
+        (UParams(P, 1, P - 2, 1), True),  # p^2 - 2p - 1, irreducible
+        (UParams(P * P, 1, P + 1, 1), False),  # p^3 + p^2 - 1: poly_gcd
+    ],
+    ids=["double-root", "irreducible-quadratic", "cubic"],
+)
+def test_determinants_outside_the_grid_reduce_to_the_normal_form(monkeypatch, u, gcd_free):
+    xs = [x for x, _ in enumerate_rationals(8)]
+    pairs = [f_pair(u, x) for x in xs]
+    if gcd_free:
+        forbid_walk_gcd(monkeypatch)
+    values = [quantize(u, x) for x in xs]
+    monkeypatch.undo()
+    for pair, value in zip(pairs, values):
+        want = RationalFunction(pair.fx, pair.finv)
+        assert (value.num, value.den) == (want.num, want.den)
 
 
 def test_quantize_fixed_points_and_two():
