@@ -409,7 +409,7 @@ def _px_stabilization(u: UParams, x: Fraction, _: None, order: int) -> dict | No
 
 
 def _px_involution(u: UParams, x: Fraction, pair: FPair, order: int) -> dict | None:
-    image = pair.quotient(u.moves)
+    image = pair.quotient()
     if j_quotient(image) != x:
         return {"x": str(x), "kind": "quotient-involution"}
     rewritten = j_rewrite(cf_expand(x))

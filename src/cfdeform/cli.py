@@ -47,7 +47,7 @@ DEFAULT_MAX_ORDER = 200
 MAX_SWEEP_ELL = 20
 # Rational inputs: the cap bounds the walk, and eval's reduction needs no gcd
 # (FPair.quotient).  As 2-vCPU processes, eval of the cap input 7500744601/2498168990
-# takes 0.92 s under p,p,p,1, 0.70 s under p,1,0,1 and at most 4.2 s under a matrix of
+# takes 0.92 s under p,p,p,1, 0.70 s under p,1,0,1 and at most 4.4 s under a matrix of
 # entries in {-1, 0, 1, 2, p}; eval of 7811271/2582500 (term sum 210) under 1,p,p,p, 57 ms.
 MAX_TERM_SUM = 2000
 

@@ -19,7 +19,6 @@ last two convergents.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,16 +67,18 @@ class FPair(NamedTuple):
     fx: object
     finv: object
 
-    def quotient(self, moves: tuple[Move, Move]) -> Fraction | RationalFunction:
+    def quotient(self, moves: tuple[Move, Move] | None = None) -> Fraction | RationalFunction:
         """The deformed value f(x) / f(1/x), reduced: a Fraction for integer pairs,
-        a RationalFunction for polynomial ones, which ``moves``, the two moves
-        whose walk gave the pair, reduce without a gcd (_reduced);
+        a RationalFunction for polynomial ones, which need ``moves``, the two
+        moves whose walk gave the pair, to reduce without a gcd (_reduced);
         EvaluationError if f(1/x) = 0."""
         if self.finv == 0:
             raise EvaluationError("quantization undefined: f(1/x) = 0")
-        if isinstance(self.fx, RingPoly):
-            return _reduced(self.fx, self.finv, moves)
-        return Fraction(self.fx, self.finv)
+        if not isinstance(self.fx, RingPoly):
+            return Fraction(self.fx, self.finv)
+        if moves is None:
+            raise TypeError("a polynomial pair reduces by the moves of its walk")
+        return _reduced(self.fx, self.finv, moves)
 
 
 def _valuation(a: RingPoly) -> int:
@@ -113,13 +114,7 @@ def _det_factors(move: Move) -> list[RingPoly] | None:
 
 
 def _exact_quotient(a: RingPoly, f: RingPoly) -> RingPoly | None:
-    """a / f if f divides a, else None: synthetic division for p - r, else
-    poly_divexact, which stops at the first inexact step."""
-    if len(f.coeffs) == 2 and f.coeffs[1] == 1:
-        r = -f.coeffs[0]
-        # Horner at r: the partial values are the quotient, the last the remainder.
-        steps = list(itertools.accumulate(reversed(a.coeffs), lambda acc, c: acc * r + c))
-        return None if steps[-1] else RingPoly(steps[-2::-1])
+    """a / f if f divides a, else None."""
     try:
         return poly_divexact(a, f)
     except ArithmeticError:
@@ -368,7 +363,7 @@ def codenominator(x) -> int:
 
 def j_quotient(x) -> Fraction:
     """The involution x -> con(x) / con(1/x), with con the (1,1;0,1) solution."""
-    return f_pair(U_CON, x).quotient(U_CON.moves)
+    return f_pair(U_CON, x).quotient()
 
 
 @dataclass(frozen=True)

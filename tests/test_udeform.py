@@ -322,6 +322,12 @@ def test_determinants_outside_the_grid_reduce_to_the_normal_form(monkeypatch, u,
         assert (value.num, value.den) == (want.num, want.den)
 
 
+def test_only_a_polynomial_pair_needs_its_moves():
+    assert f_pair(UParams(1, 1, 0, 1), Fraction(19, 31)).quotient() == Fraction(3, 16)
+    with pytest.raises(TypeError, match="moves of its walk"):
+        f_pair(UParams(P, 1, 1, 0), Fraction(19, 31)).quotient()
+
+
 def test_quantize_fixed_points_and_two():
     for u in ALL_MATRICES:
         value = quantize(u, 1)
